@@ -99,26 +99,22 @@ BENCHMARK(BM_BulkPush_Libyanc)
     ->Arg(2000)
     ->Unit(benchmark::kMillisecond);
 
-// End to end through the real pipeline (ISSUE 5): YancFs writes -> watch
-// shard -> FLOW_MOD egress -> software switch, batching off (Arg 0) vs on
-// (Arg 1).  Each iteration commits a burst of flows, settles to hardware,
-// then removes them and settles again, so the table stays bounded and the
-// timing covers both directions of the commit protocol.  Producing the
-// burst (write_flow / remove_all) costs the same in both modes, so it
-// runs outside the timer; what is measured is the driver pipeline the
-// burst then flows through.  The batched pipeline's edge is structural —
-// one sparse flow read, one packed wire train, one barrier, and one
-// counter RMW per burst instead of per flow — and `mean_batch` (the
+// End to end through the real pipeline: YancFs writes -> watch shard ->
+// FLOW_MOD egress -> software switch.  Each iteration commits a burst of
+// flows, settles to hardware, then rmdirs them and settles again, so the
+// table stays bounded and the timing covers both directions of the commit
+// protocol.  Producing the burst (write_flow / rmdir) runs outside the
+// timer; what is measured is the driver pipeline the burst then flows
+// through — one readdir-first flow read per flow, one packed wire train,
+// one barrier and one counter RMW per burst.  `mean_batch` (the
 // driver/of/batch_size mean) shows the train size actually achieved.
 void BM_BulkPush_DriverPipeline(benchmark::State& state) {
-  const bool batching = state.range(0) != 0;
   constexpr int kBurst = 64;
   auto v = std::make_shared<vfs::Vfs>();
   (void)netfs::mount_yanc_fs(*v);
   net::Scheduler scheduler;
   net::Network network(scheduler);
   driver::DriverOptions opts;
-  opts.batching = batching;
   // The periodic flow-table audit fires on tick counts, not on work, so
   // at benchmark iteration rates it lands mid-commit and re-pushes whole
   // bursts — seed-dependent noise, not pipeline cost.  Off for the
@@ -150,10 +146,21 @@ void BM_BulkPush_DriverPipeline(benchmark::State& state) {
     state.ResumeTiming();
     settle();  // commit: watch shard -> flow read -> wire -> barrier
     state.PauseTiming();
+    // rmdir, not remove_all: a flow is a schema object removed whole;
+    // remove_all recurses into its fixed counters/ dir and fails.
+    bool removed = true;
     for (int f = 0; f < kBurst; ++f)
-      (void)v->remove_all(base + std::to_string(f));
+      removed = !v->rmdir(base + std::to_string(f)) && removed;
+    if (!removed) {
+      state.SkipWithError("rmdir of a committed flow failed");
+      break;
+    }
     state.ResumeTiming();
     settle();  // delete: watch shard -> remove_strict train
+    if (s.table().size() != 0) {
+      state.SkipWithError("flow table not empty after the delete settle");
+      break;
+    }
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           kBurst);
@@ -163,10 +170,7 @@ void BM_BulkPush_DriverPipeline(benchmark::State& state) {
       static_cast<double>(
           v->metrics()->counter("watch/coalesced_total")->value()));
 }
-BENCHMARK(BM_BulkPush_DriverPipeline)
-    ->Arg(0)
-    ->Arg(1)
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_BulkPush_DriverPipeline)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -16,7 +16,9 @@
 # workload's shape, not its speed.  Benchmarks that ran fewer than
 # YANC_BENCH_MIN_ITERS (default 3) iterations in either file are skipped
 # for the time comparison — a single sample cannot support a percentage
-# judgement — and listed so the skip is never silent.
+# judgement — and listed so the skip is never silent.  Benchmarks present
+# in only one of the two files (removed, renamed or newly added) are
+# listed too; they do not affect the exit status.
 #
 #   YANC_BENCH_TOLERANCE   override the tolerance (percent, default 10)
 #   YANC_BENCH_MIN_ITERS   minimum iterations for time comparisons
@@ -96,6 +98,11 @@ for key in shared:
 print(f"bench_diff: {len(shared)} shared benchmarks, "
       f"{compared} metrics compared at ±{tol_pct}% "
       f"({base_path} -> {curr_path})")
+for label, only in (("baseline", base.keys() - curr.keys()),
+                    ("current", curr.keys() - base.keys())):
+    if only:
+        print(f"bench_diff: {len(only)} benchmark(s) only in the {label} "
+              "file, not compared: " + ", ".join(sorted(only)))
 if skipped:
     names = sorted(set(skipped))
     print(f"bench_diff: skipped time check for {len(names)} "

@@ -41,7 +41,7 @@ struct HarnessOptions {
   std::uint64_t heartbeat_ttl = 4;
   /// Base driver knobs; the harness shrinks the recovery timers on top
   /// so resync happens within a few settle rounds.
-  driver::DriverOptions driver;
+  driver::DriverOptions driver = {};
 };
 
 class Harness {

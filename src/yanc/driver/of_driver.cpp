@@ -17,9 +17,9 @@ using vfs::NodeId;
 
 // An in-flight tracked request (flow-commit barrier, the features
 // handshake), keyed by xid in its connection's `pending` map.  `flows`
-// lists every commit the request covers — a batched train's barrier
-// vouches for all of them, so a timeout re-pushes all of them.  Empty
-// means the handshake.
+// lists every commit the request covers — a train's barrier vouches for
+// all of them, so a timeout re-pushes all of them.  Empty means the
+// handshake.
 struct OfDriver::PendingRequest {
   std::vector<std::string> flows;
   std::uint64_t deadline = 0;  // tick at which to retry
@@ -43,13 +43,13 @@ struct OfDriver::Connection {
 
   // Per-switch watch shard: this connection's slice of the file system's
   // event stream.  Sharding keeps one slow or overflowing switch from
-  // forcing a rescan of every other switch, and gives the batched drain
+  // forcing a rescan of every other switch, and gives the drain
   // a natural unit — one burst, one switch, one wire train.
   vfs::WatchQueuePtr fs_queue;
 
-  // Egress burst (batching mode): FLOW_MODs queued since the last flush.
-  // Sealed buffers each pack up to max_batch messages; the whole burst
-  // leaves in one vectored send_batch capped by a single barrier.
+  // Egress burst: FLOW_MODs queued since the last flush.  Sealed buffers
+  // each pack up to kMaxBatch messages; the whole burst leaves in one
+  // vectored send_batch capped by a single barrier.
   struct Egress {
     std::vector<net::Message> bufs;        // sealed packed buffers
     std::optional<ofp::BatchEncoder> enc;  // buffer being filled
@@ -57,7 +57,6 @@ struct OfDriver::Connection {
     std::size_t mods = 0;                  // FLOW_MODs in the burst
     std::uint64_t counter_delta = 0;       // deferred counters/flow_mods
     std::uint32_t retries = 0;             // max over contributing pushes
-    std::uint64_t first_tick = 0;          // when the burst opened
     // Causal contexts riding the train, and the FLOW_MOD xids they were
     // wire_put under (parallel staging, consumed independently: traces
     // feed the barrier's commit_ack spans, xids feed handoff cleanup
@@ -116,6 +115,10 @@ struct OfDriver::WatchContext {
 
 namespace {
 
+/// Watch events drained per batch; also the most FLOW_MODs packed into one
+/// wire buffer (a longer burst spans several buffers in one vectored send).
+constexpr std::size_t kMaxBatch = 256;
+
 /// Closes out a dead train's causal state: reclaims any wire handoff the
 /// switch never consumed and stamps `what` ("retry 2", "connection lost")
 /// onto each carried trace, so a reconstructed chain ends at the fault
@@ -134,7 +137,7 @@ void release_train(std::uint64_t dpid, const std::vector<std::uint32_t>& xids,
 /// first carried ref and installs it as the thread's context, so the
 /// FLOW_MOD egress this push produces inherits the trace.  Every
 /// *additional* ref — absorbed by watch-queue coalescing or by the
-/// batched drain's per-flow dedup — gets a zero-width child span closing
+/// drain's per-flow dedup — gets a zero-width child span closing
 /// its chain at this stage: one wire train, every contributing trace
 /// accounted for.  Inert when `refs` is empty.
 class CommitTrace {
@@ -184,13 +187,6 @@ OfDriver::OfDriver(std::shared_ptr<vfs::Vfs> vfs, DriverOptions options)
   metrics_.watch_depth = reg.gauge("netfs/watch_queue_depth");
   metrics_.watch_drops = reg.counter("netfs/watch_drop_total");
   metrics_.watch_coalesced = reg.counter("watch/coalesced_total");
-  // Knobs surface read-only under /yanc/.stats so a shell can confirm
-  // what pipeline a running driver is on.
-  reg.gauge("driver/of/batching")->set(options_.batching ? 1 : 0);
-  reg.gauge("driver/of/max_batch")
-      ->set(static_cast<std::int64_t>(options_.max_batch));
-  reg.gauge("driver/of/flush_interval")
-      ->set(static_cast<std::int64_t>(options_.flush_interval));
 }
 
 OfDriver::~OfDriver() = default;
@@ -212,11 +208,10 @@ Result<std::string> OfDriver::switch_name(std::uint64_t dpid) const {
 
 std::uint32_t OfDriver::send(Connection& conn, const ofp::Message& message) {
   // Cluster self-fence: a node that does not own this dpid must not
-  // mutate it.  send_flow_mod gates the batched path before queueing;
-  // this catches the direct sends (PACKET_OUT, PORT_MOD, unbatched mods).
+  // mutate it.  queue_flow_mod gates FLOW_MODs before they join a burst;
+  // this catches the direct sends (PACKET_OUT, PORT_MOD).
   if (options_.egress_gate && !options_.egress_gate(conn.dpid) &&
-      (std::holds_alternative<ofp::FlowMod>(message) ||
-       std::holds_alternative<ofp::PacketOut>(message) ||
+      (std::holds_alternative<ofp::PacketOut>(message) ||
        std::holds_alternative<ofp::PortMod>(message))) {
     metrics_.egress_gated_total->add();
     return 0;
@@ -236,39 +231,19 @@ std::uint32_t OfDriver::send(Connection& conn, const ofp::Message& message) {
     return 0;
   }
   metrics_.msg_out_total->add();
-  if (std::holds_alternative<ofp::FlowMod>(message))
-    metrics_.flow_mod_total->add();
-  else if (std::holds_alternative<ofp::PacketOut>(message))
+  if (std::holds_alternative<ofp::PacketOut>(message))
     metrics_.packet_out_total->add();
   return xid;
 }
 
-void OfDriver::send_flow_mod(Connection& conn, const ofp::FlowMod& fm) {
+void OfDriver::queue_flow_mod(Connection& conn, const ofp::FlowMod& fm) {
   if (options_.egress_gate && !options_.egress_gate(conn.dpid)) {
     // Not the owner of this dpid: swallow the mod before it reaches the
     // burst — the owner's takeover resync replays the committed state.
     metrics_.egress_gated_total->add();
     return;
   }
-  if (options_.batching) {
-    queue_flow_mod(conn, fm);
-    return;
-  }
-  std::uint32_t xid = send(conn, fm);
-  if (xid == 0) return;
-  // Stage the causal context under the message's xid: the switch claims
-  // it on receipt, and the next tracked barrier (track_commit) adopts the
-  // staged copy so its ack — or its loss — closes the trace.
-  if (auto ref = obs::current_trace()) {
-    obs::tracer().wire_put(conn.dpid, xid, ref);
-    conn.egress.traces.push_back(ref);
-    conn.egress.xids.push_back(xid);
-  }
-}
-
-void OfDriver::queue_flow_mod(Connection& conn, const ofp::FlowMod& fm) {
   auto& eg = conn.egress;
-  if (eg.mods == 0 && eg.bufs.empty()) eg.first_tick = tick_;
   if (!eg.enc) eg.enc.emplace(options_.version);
   std::uint32_t xid = conn.next_xid++;
   if (auto ec = eg.enc->append(xid, fm); ec) {
@@ -283,15 +258,8 @@ void OfDriver::queue_flow_mod(Connection& conn, const ofp::FlowMod& fm) {
     eg.traces.push_back(ref);
     eg.xids.push_back(xid);
   }
-  if (eg.enc->count() >= options_.max_batch)
+  if (eg.enc->count() >= kMaxBatch)
     eg.bufs.push_back(eg.enc->take());  // seal; enc is empty and reusable
-}
-
-void OfDriver::note_flow_mod_counter(Connection& conn) {
-  if (options_.batching)
-    ++conn.egress.counter_delta;  // one FS read-modify-write per burst
-  else
-    bump_counter(conn.path + "/counters/flow_mods");
 }
 
 void OfDriver::flush_egress(Connection& conn) {
@@ -305,9 +273,6 @@ void OfDriver::flush_egress(Connection& conn) {
     }
     return;
   }
-  if (options_.flush_interval &&
-      tick_ - eg.first_tick < options_.flush_interval)
-    return;  // burst still filling; a later poll ships it
 
   // One barrier covers the whole train: until its reply arrives none of
   // the burst's commits are assumed to have survived the wire (§3.4).
@@ -369,13 +334,14 @@ std::size_t OfDriver::poll() {
   // managed to send before dying are still queued (half-close) and must
   // be processed before the connection is reaped.
   for (auto& conn : connections_) work += pump_connection(*conn);
-  work += drain_fs_events();
+  // One watch shard per switch: a burst of commits on sw1 drains — and
+  // ships — without touching sw2's queue, and an overflow rescans only
+  // its own switch.
+  for (auto& conn : connections_) work += drain_shard(*conn);
   service_timers();
   // Ship every burst the poll accumulated (drains, audit repairs,
-  // retries) — one vectored train per switch per quantum, unless
-  // flush_interval holds a still-filling burst for a later poll.
-  if (options_.batching)
-    for (auto& conn : connections_) flush_egress(*conn);
+  // retries) — one vectored train per switch per quantum.
+  for (auto& conn : connections_) flush_egress(*conn);
 
   // Reap dead connections: mark the FS, drop watches.
   for (auto it = connections_.begin(); it != connections_.end();) {
@@ -403,12 +369,11 @@ std::size_t OfDriver::accept_new() {
     conn->last_audit_tick = tick_;
     conn->fs_queue =
         std::make_shared<vfs::WatchQueue>(options_.fs_queue_capacity);
-    conn->fs_queue->set_coalescing(options_.batching &&
-                                   options_.coalesce_watch_events);
+    conn->fs_queue->set_coalescing(true);
     conn->fs_queue->bind_metrics(metrics_.watch_depth, metrics_.watch_drops,
                                  metrics_.watch_coalesced);
     send(*conn, ofp::Hello{});
-    track_commit(*conn, {}, 0);  // tracked FeaturesRequest
+    request_features(*conn, 0);
     connections_.push_back(std::move(conn));
     ++accepted;
   }
@@ -641,15 +606,11 @@ void OfDriver::create_switch_tree(Connection& conn,
 
   // Flows may already exist (reconnect): adopt and push committed ones.
   // This is the FS-driven resync — the directory tree, not driver RAM,
-  // is the record a reborn switch is restored from (§3.4).
-  if (auto names = vfs_->readdir(flows_dir)) {
-    for (const auto& e : *names) {
-      watch_flow(conn, e.name);
-      push_flow(conn, e.name);
-      if (conn.flows[e.name].pushed_version > 0)
-        metrics_.resync_total->add();
-    }
-  }
+  // is the record a reborn switch is restored from (§3.4).  Every push
+  // joins the egress train, so the train's growth counts the resync.
+  std::size_t queued = conn.egress.flows.size();
+  rescan_flows(conn);
+  metrics_.resync_total->add(conn.egress.flows.size() - queued);
 }
 
 void OfDriver::create_port_dir(Connection& conn, const ofp::PortDesc& port) {
@@ -706,10 +667,7 @@ void OfDriver::push_flow(Connection& conn, const std::string& flow_name,
   auto& state = state_it->second;
 
   std::string flow_dir = conn.path + "/flows/" + flow_name;
-  // The batch consumer amortizes the read too: one readdir replaces the
-  // ~20 negative probes of the field-by-field path (docs/PERFORMANCE.md).
-  auto spec = options_.batching ? netfs::read_flow_sparse(*vfs_, flow_dir)
-                                : netfs::read_flow(*vfs_, flow_dir);
+  auto spec = netfs::read_flow(*vfs_, flow_dir);
   if (!spec) {
     log_error("driver", "unreadable flow " + flow_dir + ": " +
                             spec.error().message());
@@ -727,45 +685,28 @@ void OfDriver::push_flow(Connection& conn, const std::string& flow_name,
     ofp::FlowMod del;
     del.command = ofp::FlowMod::Command::remove_strict;
     del.spec = state.pushed;
-    send_flow_mod(conn, del);
+    queue_flow_mod(conn, del);
   }
 
   ofp::FlowMod add;
   add.command = ofp::FlowMod::Command::add;
   add.spec = *spec;
   add.flags = ofp::kFlagSendFlowRemoved;
-  send_flow_mod(conn, add);
-  note_flow_mod_counter(conn);
+  queue_flow_mod(conn, add);
+  ++conn.egress.counter_delta;
   // A barrier covers the commit; until its reply arrives the flow_mod is
-  // not assumed to have survived the wire.  Batching defers the barrier
-  // to the burst's flush — one barrier vouches for the whole train.
-  if (options_.batching) {
-    conn.egress.flows.push_back(flow_name);
-    conn.egress.retries = std::max(conn.egress.retries, retries);
-  } else {
-    track_commit(conn, {flow_name}, retries);
-  }
+  // not assumed to have survived the wire.  The burst's flush appends it:
+  // one barrier vouches for the whole train.
+  conn.egress.flows.push_back(flow_name);
+  conn.egress.retries = std::max(conn.egress.retries, retries);
 
   state.pushed_version = spec->version;
   state.pushed = *spec;
 }
 
-std::size_t OfDriver::drain_fs_events() {
-  std::size_t handled = 0;
-  // One shard per switch: a burst of commits on sw1 drains — and ships —
-  // without touching sw2's queue, and an overflow rescans only its own
-  // switch.  Iterate by index: handlers (pktout, audits) never add
-  // connections, but reap-safety is poll()'s job, not drain's.
-  for (auto& conn : connections_)
-    handled += options_.batching ? drain_shard_batched(*conn)
-                                 : drain_shard(*conn);
-  return handled;
-}
-
-// Shared by both drain paths: everything except flow pushes.  Returns
-// true when it consumed the event; flow-commit events (flows_dir,
-// flow_version) are left for the caller, which is where the two
-// pipelines differ.
+// Everything except flow pushes.  Returns true when it consumed the
+// event; flow-commit events (flows_dir, flow_version) are left for
+// drain_shard, which dedups them per burst.
 bool OfDriver::handle_aux_event(Connection& conn, const vfs::Event& event,
                                 const WatchContext& ctx,
                                 std::set<NodeId>& seen_level_triggered) {
@@ -821,7 +762,6 @@ bool OfDriver::handle_aux_event(Connection& conn, const vfs::Event& event,
   return true;
 }
 
-// Handles a flows_dir deletion; shared by both drain paths.
 void OfDriver::handle_flow_deleted(Connection& conn,
                                    const std::string& name) {
   auto it = conn.flows.find(name);
@@ -831,8 +771,8 @@ void OfDriver::handle_flow_deleted(Connection& conn,
     ofp::FlowMod del;
     del.command = ofp::FlowMod::Command::remove_strict;
     del.spec = it->second.pushed;
-    send_flow_mod(conn, del);
-    note_flow_mod_counter(conn);
+    queue_flow_mod(conn, del);
+    ++conn.egress.counter_delta;
   }
   watch_contexts_.erase(it->second.version_node);
   conn.flows.erase(it);
@@ -843,41 +783,6 @@ std::size_t OfDriver::drain_shard(Connection& conn) {
   // Level-triggered contexts (flow versions, port configs, packet-out
   // send flags) are read-current-state handlers: several queued MODIFY
   // events for the same node collapse into one action per drain.
-  std::set<NodeId> seen_level_triggered;
-  while (auto event = conn.fs_queue->try_pop()) {
-    ++handled;
-    if (event->is(vfs::event::overflow)) {
-      // This shard overflowed: rescan this switch (only this switch).
-      log_error("driver", conn.name + ": watch queue overflow; rescanning");
-      if (conn.state == Connection::State::ready) rescan_flows(conn);
-      continue;
-    }
-    auto ctx_it = watch_contexts_.find(event->node);
-    if (ctx_it == watch_contexts_.end()) continue;
-    WatchContext ctx = ctx_it->second;
-    if (handle_aux_event(conn, *event, ctx, seen_level_triggered)) continue;
-
-    if (ctx.kind == WatchContext::Kind::flows_dir) {
-      if (event->is(vfs::event::created)) {
-        watch_flow(conn, event->name);
-        CommitTrace trace(event->trace, event->trace_ts_ns);
-        push_flow(conn, event->name);  // may already be committed
-      } else if (event->is(vfs::event::deleted)) {
-        CommitTrace trace(event->trace, event->trace_ts_ns);
-        handle_flow_deleted(conn, event->name);
-      }
-    } else {  // flow_version
-      if (seen_level_triggered.insert(event->node).second) {
-        CommitTrace trace(event->trace, event->trace_ts_ns);
-        push_flow(conn, ctx.name);
-      }
-    }
-  }
-  return handled;
-}
-
-std::size_t OfDriver::drain_shard_batched(Connection& conn) {
-  std::size_t handled = 0;
   std::set<NodeId> seen_level_triggered;
   // A burst's commit events dedup to one read+push per flow: a create
   // immediately followed by its version commit — the common write_flow
@@ -913,10 +818,11 @@ std::size_t OfDriver::drain_shard_batched(Connection& conn) {
       pending.ts_ns = event.trace_ts_ns;
   };
   std::vector<vfs::Event> batch;
-  while (conn.fs_queue->try_pop_batch(batch, options_.max_batch) > 0) {
+  while (conn.fs_queue->try_pop_batch(batch, kMaxBatch) > 0) {
     for (const auto& event : batch) {
       ++handled;
       if (event.is(vfs::event::overflow)) {
+        // This shard overflowed: rescan this switch (only this switch).
         log_error("driver",
                   conn.name + ": watch queue overflow; rescanning");
         if (conn.state == Connection::State::ready) rescan_flows(conn);
@@ -983,38 +889,17 @@ void OfDriver::rescan_flows(Connection& conn) {
       // Different version node: the flow was deleted and recreated.  The
       // spec the dead incarnation pushed is no longer in the FS, so take
       // it off the hardware before adopting the new one.
-      if (conn.suppress_delete.erase(e.name) == 0 &&
-          it->second.pushed_version > 0) {
-        ofp::FlowMod del;
-        del.command = ofp::FlowMod::Command::remove_strict;
-        del.spec = it->second.pushed;
-        send_flow_mod(conn, del);
-        note_flow_mod_counter(conn);
-      }
-      watch_contexts_.erase(it->second.version_node);
-      conn.flows.erase(it);
+      handle_flow_deleted(conn, e.name);
     }
     watch_flow(conn, e.name);
     push_flow(conn, e.name);
   }
 
   // Deletions whose events were lost: the hardware entry must go too.
-  for (auto it = conn.flows.begin(); it != conn.flows.end();) {
-    if (present.count(it->first)) {
-      ++it;
-      continue;
-    }
-    if (conn.suppress_delete.erase(it->first) == 0 &&
-        it->second.pushed_version > 0) {
-      ofp::FlowMod del;
-      del.command = ofp::FlowMod::Command::remove_strict;
-      del.spec = it->second.pushed;
-      send_flow_mod(conn, del);
-      note_flow_mod_counter(conn);
-    }
-    watch_contexts_.erase(it->second.version_node);
-    it = conn.flows.erase(it);
-  }
+  std::vector<std::string> gone;
+  for (const auto& [name, state] : conn.flows)
+    if (!present.count(name)) gone.push_back(name);
+  for (const auto& name : gone) handle_flow_deleted(conn, name);
 }
 
 void OfDriver::abandon_switch(std::uint64_t dpid) {
@@ -1048,33 +933,16 @@ void OfDriver::mark_down(Connection& conn) {
   (void)vfs_->write_file(conn.path + "/connected", "0");
 }
 
-void OfDriver::track_commit(Connection& conn, std::vector<std::string> flows,
-                            std::uint32_t retries) {
-  std::uint32_t xid =
-      flows.empty()
-          ? send(conn, ofp::FeaturesRequest{})
-          : send(conn, ofp::BarrierRequest{});
+void OfDriver::request_features(Connection& conn, std::uint32_t retries) {
+  std::uint32_t xid = send(conn, ofp::FeaturesRequest{});
   if (!xid) return;
-  // Bounded exponential backoff: timeout doubles per retry (shift capped
-  // so the arithmetic can't overflow).
-  std::uint64_t wait = options_.request_timeout
-                       << std::min<std::uint32_t>(retries, 16);
   auto& req = conn.pending[xid];
   req = PendingRequest{};
-  req.flows = std::move(flows);
-  req.deadline = tick_ + wait;
+  // Bounded exponential backoff: timeout doubles per retry (shift capped
+  // so the arithmetic can't overflow).
+  req.deadline = tick_ + (options_.request_timeout
+                          << std::min<std::uint32_t>(retries, 16));
   req.retries = retries;
-  // Adopt contexts staged by send_flow_mod since the last tracked request
-  // (per-event pipeline: the barrier right after each push).  A preceding
-  // untracked delete's context rides along too — correctly, since this
-  // barrier vouches for everything sent before it.
-  if (!conn.egress.traces.empty()) {
-    req.traces = std::move(conn.egress.traces);
-    req.xids = std::move(conn.egress.xids);
-    req.sent_ns = obs::Tracer::now_ns();
-    conn.egress.traces.clear();
-    conn.egress.xids.clear();
-  }
 }
 
 void OfDriver::retry_request(Connection& conn,
@@ -1089,25 +957,22 @@ void OfDriver::retry_request(Connection& conn,
   if (request.flows.empty()) {
     // Handshake lost on the wire: ask again.
     if (conn.state == Connection::State::handshaking)
-      track_commit(conn, {}, retries);
+      request_features(conn, retries);
     return;
   }
-  // Re-stage the traces *before* re-pushing: non-batching's track_commit
-  // (called inside push_flow) and batching's flush both adopt the staged
-  // list, so the retry train's tracked request inherits them either way.
+  // Re-stage the traces: the flush adopts the staged list, so the retry
+  // train's tracked request inherits them.
   conn.egress.traces.insert(conn.egress.traces.end(), request.traces.begin(),
                             request.traces.end());
   // The lost barrier vouched for every commit on its train: re-push them
-  // all.  (Batching gathers the re-pushes into one new train at flush.)
+  // all; the flush gathers the re-pushes into one new train.
   for (const auto& flow_name : request.flows) {
     auto it = conn.flows.find(flow_name);
     if (it == conn.flows.end()) continue;  // deleted; audit covers it
     it->second.pushed_version = 0;         // force the re-send
     push_flow(conn, flow_name, retries);
   }
-  if (!options_.batching) return;
-  // The per-flow track_commit path is bypassed when batching; make sure
-  // the retry count rides the next train even if push_flow skipped work.
+  // The retry count rides the next train even if push_flow skipped work.
   conn.egress.retries = std::max(conn.egress.retries, retries);
 }
 
@@ -1287,7 +1152,7 @@ void OfDriver::audit_reconcile(Connection& conn, const ofp::StatsReply& sr) {
     ofp::FlowMod del;
     del.command = ofp::FlowMod::Command::remove_strict;
     del.spec = *hardware[i];
-    send_flow_mod(conn, del);
+    queue_flow_mod(conn, del);
   }
 }
 

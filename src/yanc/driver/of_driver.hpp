@@ -7,7 +7,10 @@
 //                       switch directory* (Fig. 3): identity files, ports/,
 //                       flows/, counters/, packet_out/
 //   app commits flow -> driver's watch on the flow's version file fires ->
-//                       FLOW_MOD on the wire (§3.4 commit protocol)
+//                       FLOW_MOD on the wire (§3.4 commit protocol); a
+//                       burst of commits leaves as one packed FLOW_MOD
+//                       train capped by a single barrier
+//                       (docs/PERFORMANCE.md "Batching")
 //   app rmdir flow   -> FLOW_MOD delete
 //   app writes
 //   config.port_down -> PORT_MOD
@@ -64,24 +67,6 @@ struct DriverOptions {
   /// dropped FLOW_MOD whose barrier still got through).  0 disables.
   std::uint64_t audit_interval = 512;
 
-  // Batched event pipeline knobs (docs/PERFORMANCE.md "Batching").
-  // Mirrored read-only under /yanc/.stats as driver/of/{batching,
-  // max_batch,flush_interval} gauges.
-  /// On: per-switch watch shards drain in batches, a commit burst leaves
-  /// as one packed FLOW_MOD train capped by a single barrier, and flow
-  /// reads go through the sparse (readdir-first) path.  Off: the
-  /// per-event pipeline — one read, one FLOW_MOD, one barrier per flow.
-  bool batching = true;
-  /// Events drained per batch; also the max messages packed per wire
-  /// buffer (a longer burst spans several buffers in one vectored send).
-  std::size_t max_batch = 256;
-  /// Ticks a non-empty egress burst may keep accumulating before it is
-  /// flushed.  0 flushes at the end of every poll (lowest latency).
-  std::uint64_t flush_interval = 0;
-  /// Coalesce adjacent same-path modify events at the shard queues
-  /// (effective only while `batching` is on, so off means off).
-  bool coalesce_watch_events = true;
-
   /// Cluster self-fencing valve (docs/ROBUSTNESS.md "Cluster failover"):
   /// when set, state-mutating egress (FLOW_MOD, PACKET_OUT, PORT_MOD) for
   /// a dpid is suppressed unless the gate returns true — a node that lost
@@ -137,19 +122,16 @@ class OfDriver {
 
   std::size_t accept_new();
   std::size_t pump_connection(Connection& conn);
-  std::size_t drain_fs_events();
-  /// Per-event shard drain (batching off): the pre-batching pipeline.
+  /// Drains one switch's watch shard in batches, dedups a burst's commits
+  /// to one read+push per flow, and queues the FLOW_MODs for the flush.
   std::size_t drain_shard(Connection& conn);
-  /// Batched shard drain: pops events max_batch at a time, dedups a
-  /// burst's commits to one read+push per flow, queues the FLOW_MODs.
-  std::size_t drain_shard_batched(Connection& conn);
-  /// Non-flow event dispatch shared by both drain paths (ports, packet
-  /// out).  Returns false for flow-commit events, which the two drain
-  /// paths handle differently.
+  /// Non-flow event dispatch (ports, packet out).  Returns false for
+  /// flow-commit events, which drain_shard dedups per burst.
   bool handle_aux_event(Connection& conn, const vfs::Event& event,
                         const WatchContext& ctx,
                         std::set<vfs::NodeId>& seen_level_triggered);
-  /// flows_dir deletion: FLOW_MOD delete (unless suppressed) + teardown.
+  /// A flow directory is gone: FLOW_MOD delete (unless suppressed) and
+  /// teardown of the flow's watch and state.
   void handle_flow_deleted(Connection& conn, const std::string& name);
 
   void handle_switch_message(Connection& conn, const ofp::Decoded& decoded);
@@ -172,29 +154,24 @@ class OfDriver {
   /// Encodes and transmits; returns the xid used, or 0 when the message
   /// could not be encoded or the peer is gone (counted in send_fail_total).
   std::uint32_t send(Connection& conn, const ofp::Message& message);
-  /// FLOW_MOD egress valve: queues into the connection's burst when
-  /// batching, sends immediately otherwise.  Every FLOW_MOD goes through
-  /// here so deletes and adds of one burst keep their relative order.
-  void send_flow_mod(Connection& conn, const ofp::FlowMod& fm);
-  /// Appends `fm` to the burst, sealing the current buffer at max_batch.
+  /// FLOW_MOD egress valve: appends `fm` to the connection's burst,
+  /// sealing the current buffer when it is full.  Every FLOW_MOD goes
+  /// through here so deletes and adds of one burst keep their relative
+  /// order.
   void queue_flow_mod(Connection& conn, const ofp::FlowMod& fm);
   /// Ships the accumulated burst: seals the open buffer, appends one
   /// barrier covering every commit in the train, vectored-sends the
-  /// buffers, records driver/of/batch_size, arms the retry timer.
+  /// buffers, records driver/of/batch_size, settles the burst's
+  /// counters/flow_mods bump in one FS write, arms the retry timer.
   void flush_egress(Connection& conn);
-  /// counters/flow_mods bump — deferred to the flush when batching (one
-  /// FS read-modify-write per burst instead of per flow).
-  void note_flow_mod_counter(Connection& conn);
 
   // --- failure domains (docs/ROBUSTNESS.md) ---------------------------
   /// Writes status=down + connected=0 for the switch, once, unless a
   /// newer connection for the same dpid has taken over the directory.
   void mark_down(Connection& conn);
-  /// Sends a tracked request covering the commits of `flows` (empty list
-  /// = the features handshake); arms the retry timer.  Batching mode
-  /// tracks whole trains through flush_egress instead.
-  void track_commit(Connection& conn, std::vector<std::string> flows,
-                    std::uint32_t retries);
+  /// Sends the tracked FeaturesRequest of the handshake and arms its
+  /// retry timer.  Commit barriers are tracked by flush_egress.
+  void request_features(Connection& conn, std::uint32_t retries);
   /// Keepalives, request timeouts with exponential backoff, audits.
   void service_timers();
   /// Handles one expired tracked request on `conn`: re-pushes every flow
@@ -205,8 +182,9 @@ class OfDriver {
   /// reply: re-pushes committed flows missing from hardware, deletes
   /// hardware entries no FS flow claims.
   void audit_reconcile(Connection& conn, const ofp::StatsReply& sr);
-  /// Full flows/ rescan after a watch-queue overflow: re-arms stale
-  /// watches, pushes missed commits, reconciles missed deletions.
+  /// Full flows/ rescan, on connect (adopts every existing flow) and
+  /// after a watch-queue overflow: re-arms stale watches, pushes missed
+  /// commits, reconciles missed deletions.
   void rescan_flows(Connection& conn);
   /// Cluster-failover repair (runs with the audit, only while this
   /// driver holds the egress gate): a takeover handshake that raced a

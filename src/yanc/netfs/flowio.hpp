@@ -19,14 +19,20 @@
 namespace yanc::netfs {
 
 /// Reads a committed flow directory into a FlowSpec (including `version`).
+/// Lists the directory once and reads only the files the listing
+/// contains, so the ~20 absent-field probes of a typically sparse flow
+/// become set lookups (docs/PERFORMANCE.md "Batching").  A present but
+/// empty field file reads as unset, like an absent one.
+///
+/// Apart from a field that fails to parse, errors come from the listing:
+/// not_found for a deleted flow, and access_denied when `creds` may
+/// traverse `flow_dir` but not list it (mode 0711 for another user),
+/// even though each field file could be read by its full path.
 Result<flow::FlowSpec> read_flow(vfs::Vfs& vfs, const std::string& flow_dir,
                                  const vfs::Credentials& creds = {});
 
-/// Like read_flow, but lists the directory once and reads only the files
-/// the listing contains, so the ~20 absent-field probes of a typically
-/// sparse flow become set lookups.  Returns the same FlowSpec as
-/// read_flow for any directory state; used by the driver's batched
-/// pipeline (docs/PERFORMANCE.md "Batching").
+/// Same as read_flow.  Kept only because the full-stack benchmark
+/// (perfbench/src/common.cpp) calls it by this name.
 Result<flow::FlowSpec> read_flow_sparse(vfs::Vfs& vfs,
                                         const std::string& flow_dir,
                                         const vfs::Credentials& creds = {});

@@ -126,10 +126,11 @@ void run_case(std::uint64_t seed, bool coalesce) {
     std::size_t pending_w = 0;  // writes applied to the open incarnation
     bool delivered_m = false;   // ≥1 modify seen for the open incarnation
     auto close_incarnation = [&](const char* boundary) {
-      if (pending_w > 0)
+      if (pending_w > 0) {
         EXPECT_TRUE(delivered_m)
             << name << ": incarnation with " << pending_w
             << " writes delivered no modify before " << boundary;
+      }
       pending_w = 0;
       delivered_m = false;
     };
@@ -178,7 +179,9 @@ void run_case(std::uint64_t seed, bool coalesce) {
 
   // Invariant 3: conservation of state changes.
   EXPECT_EQ(observed.modifies + coalesced->value(), applied.writes);
-  if (!coalesce) EXPECT_EQ(coalesced->value(), 0u);
+  if (!coalesce) {
+    EXPECT_EQ(coalesced->value(), 0u);
+  }
 }
 
 TEST(BatchPipelineProperty, RandomHistoriesCoalesced) {

@@ -840,10 +840,8 @@ TEST(DriverOverflowRecovery, RescanRearmsWatchesAndReconcilesDeletions) {
 // The acceptance scenario: kill a switch mid-commit, reconnect the same
 // dpid behind a 5% lossy link, and require the wire flow table to end up
 // byte-identical to the committed flows/ directory — for ten consecutive
-// RNG seeds (override the base with YANC_FAULT_SEED).  Runs once per
-// pipeline: batched trains and the per-event path must converge to the
-// same hardware table under the same faults.
-void run_reconnect_resync_matrix(bool batching) {
+// RNG seeds (override the base with YANC_FAULT_SEED).
+TEST(DriverFaultMatrix, ReconnectResyncUnderLossTenSeeds) {
   const char* env = std::getenv("YANC_FAULT_SEED");
   const std::uint64_t base = env ? std::strtoull(env, nullptr, 10) : 1;
   for (std::uint64_t seed = base; seed < base + 10; ++seed) {
@@ -858,7 +856,6 @@ void run_reconnect_resync_matrix(bool batching) {
     opts.request_timeout = 4;
     opts.max_retries = 8;
     opts.audit_interval = 16;
-    opts.batching = batching;
     OfDriver driver(vfs, opts);
     auto injector = std::make_shared<faults::Injector>(seed);
     driver.listener().set_fault_hook_factory(
@@ -959,14 +956,6 @@ void run_reconnect_resync_matrix(bool batching) {
     obs::tracer().stop();
     obs::tracer().clear();
   }
-}
-
-TEST(DriverFaultMatrix, ReconnectResyncUnderLossTenSeeds) {
-  run_reconnect_resync_matrix(/*batching=*/true);
-}
-
-TEST(DriverFaultMatrix, ReconnectResyncUnderLossTenSeedsUnbatched) {
-  run_reconnect_resync_matrix(/*batching=*/false);
 }
 
 TEST(DriverVersionMismatch, WrongDialectClosed) {

@@ -412,6 +412,46 @@ TEST_F(FlowIoTest, DefaultsWhenFilesAbsent) {
   EXPECT_TRUE(got->match.is_match_all());
 }
 
+TEST_F(FlowIoTest, DeletedFlowIsNotFound) {
+  flow::FlowSpec spec;
+  spec.actions = {flow::Action::output(1)};
+  ASSERT_FALSE(write_flow(*vfs, flow_dir, spec));
+  ASSERT_FALSE(vfs->rmdir(flow_dir));
+  auto got = read_flow(*vfs, flow_dir);
+  ASSERT_FALSE(got.ok());
+  EXPECT_EQ(got.error(), make_error_code(Errc::not_found));
+}
+
+TEST_F(FlowIoTest, EmptyFieldFileReadsAsUnset) {
+  flow::FlowSpec spec;
+  spec.match.tp_dst = 22;
+  spec.priority = 100;
+  spec.actions = {flow::Action::output(1)};
+  ASSERT_FALSE(write_flow(*vfs, flow_dir, spec));
+  ASSERT_FALSE(vfs->write_file(flow_dir + "/match.tp_dst", ""));
+  ASSERT_FALSE(vfs->write_file(flow_dir + "/priority", ""));
+  auto got = read_flow(*vfs, flow_dir);
+  ASSERT_TRUE(got.ok());
+  EXPECT_FALSE(got->match.tp_dst.has_value());  // wildcard
+  EXPECT_EQ(got->priority, flow::kDefaultPriority);
+  EXPECT_EQ(got->version, 1u);
+}
+
+// The reader lists the directory first, so a flow dir another user may
+// traverse but not list is unreadable as a whole, although each field
+// file on its own is readable by path.
+TEST_F(FlowIoTest, TraversableButUnlistableDirIsDenied) {
+  flow::FlowSpec spec;
+  spec.actions = {flow::Action::output(1)};
+  ASSERT_FALSE(write_flow(*vfs, flow_dir, spec));
+  ASSERT_FALSE(vfs->chmod(flow_dir, 0711));
+  const auto other = vfs::Credentials::user(1000, 1000);
+  ASSERT_TRUE(vfs->read_file(flow_dir + "/version", other).ok());
+  auto got = read_flow(*vfs, flow_dir, other);
+  ASSERT_FALSE(got.ok());
+  EXPECT_EQ(got.error(), make_error_code(Errc::access_denied));
+}
+
 TEST_F(FlowIoTest, StatsRoundTrip) {
   ASSERT_FALSE(vfs->mkdir(flow_dir));
   ASSERT_FALSE(write_flow_stats(*vfs, flow_dir, {123, 45678}));
