@@ -1,12 +1,16 @@
 #!/usr/bin/env bash
-# Whole-program static lock-order verification (tools/yanc-analyze).
+# The static checker (tools/yanc-analyze): source policy and
+# whole-program lock-order verification.
 #
 # Usage: scripts/analyze.sh [--coverage] [--json] [build-dir]
 #
-#   default     — fixture self-test, then the static pass over src/yanc:
-#                 rank cycles, same-rank nesting, blocking calls under
-#                 held locks, unresolvable guards, dead ranks, raw
-#                 mutexes, and docs/CORRECTNESS.md rank-table drift.
+#   default     — fixture self-test, then the static pass over src, tests
+#                 and bench: banned functions, include cycles, missing
+#                 #pragma once, waits under trace spans; in src/yanc also
+#                 raw mutexes, manual lock calls, rank cycles, same-rank
+#                 nesting, blocking calls under held locks, unresolvable
+#                 guards, dead ranks, and docs/CORRECTNESS.md rank-table
+#                 drift.
 #   --coverage  — additionally run tier 1 with YANC_LOCK_EDGES_OUT set so
 #                 every test process dumps its observed runtime edge
 #                 graph at exit, merge the per-process dumps, and print
@@ -40,7 +44,7 @@ echo "== yanc-analyze self-test =="
 if [[ "$COVERAGE" == 0 ]]; then
   echo "== yanc-analyze (static) =="
   "$ANALYZE" --root "$PWD" --doc docs/CORRECTNESS.md ${JSON[@]+"${JSON[@]}"} \
-    src/yanc
+    src tests bench
   echo "yanc-analyze: clean"
   exit 0
 fi
@@ -59,4 +63,4 @@ YANC_LOCK_EDGES_OUT="$EDGE_DIR/edges" \
   ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)" >/dev/null
 cat "$EDGE_DIR"/edges.* >"$EDGE_DIR/merged" 2>/dev/null || true
 "$ANALYZE" --root "$PWD" --doc docs/CORRECTNESS.md \
-  --runtime-edges "$EDGE_DIR/merged" ${JSON[@]+"${JSON[@]}"} src/yanc
+  --runtime-edges "$EDGE_DIR/merged" ${JSON[@]+"${JSON[@]}"} src tests bench

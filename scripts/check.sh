@@ -4,8 +4,8 @@
 # Usage: scripts/check.sh [--fast]
 #
 #   default — configure + build (lockdep ON), full ctest tier (which
-#             includes the yanc-lint and yanc-analyze gates and their
-#             self-tests), lint.sh, yanc-analyze with the runtime
+#             includes the yanc-analyze gate and its self-test), lint.sh
+#             (clang-tidy, when installed), yanc-analyze with the runtime
 #             lock-coverage sweep (scripts/analyze.sh --coverage), a
 #             lockdep-OFF release build proving the wrappers compile
 #             away, then ASan/UBSan over the full suite and TSan over the
@@ -22,13 +22,13 @@ echo "=== build (YANC_DBG_LOCKS=ON) ==="
 cmake -B build -S . -DYANC_DBG_LOCKS=ON
 cmake --build build -j "$(nproc)"
 
-echo "=== ctest (tier 1 + lint gate) ==="
+echo "=== ctest (tier 1 + static gate) ==="
 ctest --test-dir build --output-on-failure -j "$(nproc)"
 
-echo "=== lint ==="
+echo "=== clang-tidy ==="
 scripts/lint.sh build
 
-# Static lock-order gate: --fast stops at the static pass; the full run
+# Static checker: --fast stops at the static pass; the full run
 # also sweeps tier 1 with edge dumping on and prints the static-vs-runtime
 # lock-coverage report.
 echo "=== yanc-analyze ==="

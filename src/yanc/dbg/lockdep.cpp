@@ -56,8 +56,8 @@ thread_local int t_depth = 0;
 // edges, so the lock-free fast path (skip everything for a known edge)
 // is safe; publication and the cycle check serialize on g_mu.
 std::atomic<bool> g_edge[kN][kN];
-std::mutex g_mu;  // yanc-lint: allow(raw-mutex) lockdep's own graph lock
-                  // cannot be a ranked lock without infinite regress
+// lockdep's own graph lock cannot be a ranked lock without infinite regress.
+std::mutex g_mu;
 
 struct EdgeSite {
   // Where the edge was first created: the site holding `a` and the site
@@ -133,7 +133,7 @@ void on_acquire(Rank r, std::source_location loc) {
   for (int i = 0; i < t_depth; ++i) {
     const int hi = static_cast<int>(t_held[i].rank);
     if (g_edge[hi][ri].load(std::memory_order_relaxed)) continue;
-    std::lock_guard graph_lock(g_mu);  // yanc-lint: allow(raw-mutex) ditto
+    std::lock_guard graph_lock(g_mu);
     if (g_edge[hi][ri].load(std::memory_order_relaxed)) continue;
     // Before publishing held->acquiring, make sure the reverse direction
     // is not already reachable — that closure is the deadlock.
@@ -181,7 +181,6 @@ int held_depth() noexcept { return t_depth; }
 
 std::vector<LockEdge> lock_edges() {
   std::vector<LockEdge> out;
-  // yanc-lint: allow(raw-mutex) lockdep's own graph lock, as above
   std::lock_guard graph_lock(detail::g_mu);
   for (int a = 0; a < detail::kN; ++a) {
     for (int b = 0; b < detail::kN; ++b) {

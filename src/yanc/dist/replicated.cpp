@@ -216,6 +216,7 @@ Result<NodeId> ReplicatedYancFs::resolve_local(const std::string& path) {
 }
 
 void ReplicatedYancFs::bind_metrics(obs::Registry& registry) {
+  YancFs::bind_metrics(registry);
   apply_metric_ = registry.counter("dist/replication_apply_total");
   conflict_metric_ = registry.counter("dist/replication_conflict_total");
   lag_metric_ = registry.histogram("dist/replication_lag_ns");

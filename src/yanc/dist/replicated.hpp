@@ -88,11 +88,11 @@ class ReplicatedYancFs : public netfs::YancFs {
   Status removexattr(vfs::NodeId node, const std::string& name,
                      const vfs::Credentials& creds) override;
 
-  /// Registers dist/replication_{apply,conflict}_total and
-  /// dist/replication_lag_ns in `registry` (typically the registry of the
-  /// Vfs this replica is mounted into).  Lag is virtual time from the
-  /// origin's emit to this node's apply.  Also registers
-  /// dist/anti_entropy_{round,repair}_total.
+  /// Registers the netfs counters (YancFs::bind_metrics) plus
+  /// dist/replication_{apply,conflict}_total and dist/replication_lag_ns
+  /// in `registry` (typically the registry of the Vfs this replica is
+  /// mounted into).  Lag is virtual time from the origin's emit to this
+  /// node's apply.  Also registers dist/anti_entropy_{round,repair}_total.
   void bind_metrics(obs::Registry& registry);
 
   /// Anti-entropy (§6 made honest about lossy links): broadcasts a

@@ -8,25 +8,13 @@ namespace yanc::obs {
 using vfs::Credentials;
 using vfs::NodeId;
 
-StatsFs::StatsFs(std::shared_ptr<Registry> registry,
-                 std::shared_ptr<TraceRing> trace)
-    : registry_(std::move(registry)), trace_(std::move(trace)) {
+StatsFs::StatsFs(std::shared_ptr<Registry> registry)
+    : registry_(std::move(registry)) {
   Node root;
   root.type = vfs::FileType::directory;
   root.name = "/";
   nodes_.emplace(kRootNode, std::move(root));
   dbg::LockGuard lock(mu_);
-  if (trace_) {
-    NodeId id = next_node_++;
-    Node file;
-    file.type = vfs::FileType::regular;
-    file.name = "trace";
-    file.parent = kRootNode;
-    file.provider = [ring = trace_] { return ring->dump(); };
-    file.last_value = file.provider();
-    nodes_.emplace(id, std::move(file));
-    nodes_[kRootNode].children.emplace("trace", id);
-  }
   // The runtime lock-order graph, as a file: `cat .../dbg/lock_edges`
   // shows every acquired-while-held edge the process has observed, and
   // yanc-analyze diffs it against the statically derived edge set.
@@ -243,10 +231,9 @@ std::size_t StatsFs::refresh() {
 }
 
 Result<std::shared_ptr<StatsFs>> mount_stats_fs(
-    vfs::Vfs& vfs, const std::string& mount_path,
-    std::shared_ptr<TraceRing> trace) {
+    vfs::Vfs& vfs, const std::string& mount_path) {
   if (auto ec = vfs.mkdir_p(mount_path, 0555, Credentials::root())) return ec;
-  auto fs = std::make_shared<StatsFs>(vfs.metrics(), std::move(trace));
+  auto fs = std::make_shared<StatsFs>(vfs.metrics());
   if (auto ec = vfs.mount(mount_path, fs)) return ec;
   return fs;
 }

@@ -5,9 +5,9 @@
 // metric path ("driver/of/packet_in_total") becomes a read-only file in a
 // directory tree, values are formatted at read time (so `cat` always sees
 // the live number), histograms fan out into `_count`/`_p50`/`_p90`/`_p99`
-// files, an attached TraceRing is exposed as a top-level `trace` file, and
-// the dbg lock-order edge graph is exposed at `dbg/lock_edges` (empty in
-// release builds, where no graph is recorded).
+// files, and the dbg lock-order edge graph is exposed at `dbg/lock_edges`
+// (empty in release builds, where no graph is recorded).  Traces have
+// their own view, /yanc/.trace (trace_fs.hpp).
 //
 // Mounted at /yanc/.stats (mount_stats_fs), the whole subtree is readable
 // and watchable with the ordinary shell coreutils and vfs::WatchQueue
@@ -24,7 +24,6 @@
 #include <unordered_map>
 
 #include "yanc/obs/metrics.hpp"
-#include "yanc/obs/trace.hpp"
 #include "yanc/vfs/filesystem.hpp"
 #include "yanc/vfs/vfs.hpp"
 
@@ -32,8 +31,7 @@ namespace yanc::obs {
 
 class StatsFs : public vfs::Filesystem {
  public:
-  explicit StatsFs(std::shared_ptr<Registry> registry,
-                   std::shared_ptr<TraceRing> trace = nullptr);
+  explicit StatsFs(std::shared_ptr<Registry> registry);
 
   vfs::NodeId root() const override { return kRootNode; }
 
@@ -87,17 +85,13 @@ class StatsFs : public vfs::Filesystem {
   void unwatch(vfs::WatchRegistry::WatchId id) override;
 
   /// Emits a `modified` event for every metric file whose formatted value
-  /// changed since the previous refresh (and for `trace` when the ring
-  /// advanced).  Watch-based consumers pair a WatchQueue with a periodic
-  /// refresh() — the paper's inotify loop over controller state.  Returns
-  /// the number of files that changed.
+  /// changed since the previous refresh.  Watch-based consumers pair a
+  /// WatchQueue with a periodic refresh() — the paper's inotify loop over
+  /// controller state.  Returns the number of files that changed.
   std::size_t refresh();
 
   const std::shared_ptr<Registry>& registry() const noexcept {
     return registry_;
-  }
-  const std::shared_ptr<TraceRing>& trace_ring() const noexcept {
-    return trace_;
   }
 
  private:
@@ -108,7 +102,7 @@ class StatsFs : public vfs::Filesystem {
     std::string name;
     vfs::NodeId parent = vfs::kInvalidNode;
     std::string metric_path;  // full registry export path (files only)
-    // Synthetic files (trace, dbg/lock_edges): content comes from the
+    // Synthetic files (dbg/lock_edges): content comes from the
     // provider instead of the registry.  refresh() diffing works the same
     // way, so provider files are watchable like any metric file.
     std::function<std::string()> provider;
@@ -126,7 +120,6 @@ class StatsFs : public vfs::Filesystem {
 
   mutable dbg::Mutex<dbg::Rank::stats_fs> mu_;
   std::shared_ptr<Registry> registry_;
-  std::shared_ptr<TraceRing> trace_;
   std::unordered_map<vfs::NodeId, Node> nodes_;
   std::unordered_map<std::string, vfs::NodeId> by_metric_path_;
   vfs::NodeId next_node_ = kRootNode + 1;
@@ -137,9 +130,7 @@ class StatsFs : public vfs::Filesystem {
 
 /// Creates a StatsFs over `vfs`'s own metrics registry and mounts it at
 /// `mount_path` (default "/yanc/.stats"), creating the mount point.
-/// `trace` optionally exposes a trace ring as `<mount_path>/trace`.
 Result<std::shared_ptr<StatsFs>> mount_stats_fs(
-    vfs::Vfs& vfs, const std::string& mount_path = "/yanc/.stats",
-    std::shared_ptr<TraceRing> trace = nullptr);
+    vfs::Vfs& vfs, const std::string& mount_path = "/yanc/.stats");
 
 }  // namespace yanc::obs

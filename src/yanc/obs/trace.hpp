@@ -3,10 +3,9 @@
 // Subsystems record what happened and when against the simulation's
 // VirtualClock (or any other nanosecond timestamp source); the ring keeps
 // the most recent `capacity` records and counts what it had to drop.
-// StatsFs exposes the ring as the `/yanc/.stats/trace` file, so
-// `cat /yanc/.stats/trace` answers "what did the controller just do" the
-// same way the rest of the paper's state model answers "what is the
-// controller's state".
+// TraceFs renders the process ring under `/yanc/.trace`, so reading a
+// file answers "what did the controller just do" the same way the rest of
+// the paper's state model answers "what is the controller's state".
 //
 // Records optionally carry causal linkage (trace_id / span_id /
 // parent_span_id, plus the queue-wait preceding the span's service time):

@@ -224,7 +224,7 @@ class Tracer {
 /// immediately, so nested stages can parent to a still-open span.
 ///
 /// Span guards time a *stage*; holding one across a blocking wait or a
-/// `co_` suspension would book the wait as service time, so yanc-lint's
+/// `co_` suspension would book the wait as service time, so yanc-analyze's
 /// span-wait rule rejects that pattern.
 class Span {
  public:

@@ -35,7 +35,7 @@ MemFs::MutationScope::~MutationScope() {
   // Guard scopes cannot express this overlap: emit_mu_ must be taken
   // before mu_ drops so fan-out preserves commit order (rank order stays
   // vfs_namespace -> vfs_emit).
-  // yanc-lint: allow(manual-lock) ordered hand-off, see comment above
+  // yanc-analyze: allow(manual-lock) ordered hand-off, see comment above
   lock_.unlock();
   for (PendingAction& a : batch) {
     if (a.kind == PendingAction::Kind::emit)

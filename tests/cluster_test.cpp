@@ -93,6 +93,17 @@ TEST(ClusterTest, CommittedFlowReachesOwnedSwitchFromAnyNode) {
   EXPECT_EQ(h.hw_flows(1), fs);
 }
 
+TEST(ClusterTest, ReplicaExportsNetfsCounters) {
+  // A replica is a YancFs underneath: its typed writes count in the node's
+  // registry (and so in /yanc/.stats/netfs/) just as on a single node.
+  Harness h(HarnessOptions{.nodes = 2, .switches = 1});
+  h.settle();
+  ASSERT_FALSE(h.commit_flow(0, 1, "ssh", make_spec(22)));
+  h.settle();
+  auto& reg = *h.vfs(0)->metrics();
+  EXPECT_GT(reg.counter("netfs/typed_write_total")->value(), 0u);
+}
+
 // --- failover (the smoke_cluster_failover ctest entry) ------------------------
 
 TEST(ClusterTest, NodeKillFailsOverAndResyncsCommittedFlows) {

@@ -529,16 +529,6 @@ TEST(StatsFsTest, RefreshEmitsModifiedEventsForWatchers) {
   EXPECT_EQ(queue->drain().size(), steady - steady);  // empty after drain
 }
 
-TEST(StatsFsTest, TraceRingExposedAsFile) {
-  auto vfs = std::make_shared<vfs::Vfs>();
-  auto trace = std::make_shared<TraceRing>(16);
-  ASSERT_TRUE(mount_stats_fs(*vfs, "/yanc/.stats", trace).ok());
-  trace->event(42, "driver", "packet_in");
-  auto text = shell::cat(*vfs, "/yanc/.stats/trace");
-  ASSERT_TRUE(text.ok());
-  EXPECT_NE(text->find("driver packet_in"), std::string::npos);
-}
-
 TEST(StatsFsTest, LockEdgeGraphExposedAsFile) {
   auto vfs = std::make_shared<vfs::Vfs>();
   ASSERT_TRUE(mount_stats_fs(*vfs).ok());

@@ -10,6 +10,6 @@ struct Wrapper {
 
 void f(M& m) {
   Guard g(m);
-  // yanc-lint: allow(manual-lock) ordered hand-off documented in CORRECTNESS.md
+  // yanc-analyze: allow(manual-lock) ordered hand-off documented in CORRECTNESS.md
   m.unlock();
 }

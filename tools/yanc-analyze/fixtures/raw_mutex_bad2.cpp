@@ -2,5 +2,5 @@
 #include <mutex>
 
 struct S {
-  std::mutex mu;  // yanc-lint: allow(raw-mutex)
+  std::mutex mu;  // yanc-analyze: allow(raw-mutex)
 };

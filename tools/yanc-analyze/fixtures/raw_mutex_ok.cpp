@@ -7,7 +7,7 @@ template <typename M> struct LockGuard { explicit LockGuard(M&); };
 
 struct S {
   yanc::dbg::Mutex<yanc::dbg::Rank::watch_queue> mu;
-  // yanc-lint: allow(raw-mutex) lockdep's own graph lock cannot rank itself
+  // yanc-analyze: allow(raw-mutex) lockdep's own graph lock cannot rank itself
   std::mutex meta_mu;
 };
 

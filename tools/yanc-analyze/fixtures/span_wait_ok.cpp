@@ -23,7 +23,7 @@ void drain_scoped(Queue& q, obs::TraceRef parent) {
 
 void drain_waived(Queue& q, Cv& cv, Lk& lk, obs::TraceRef parent) {
   obs::Span span(parent, "driver", "drain");
-  // yanc-lint: allow(span-wait) bounded 1us handshake, measured as service
+  // yanc-analyze: allow(span-wait) bounded 1us handshake, measured as service
   cv.wait_for(lk, std::chrono::microseconds(1));
 }
 

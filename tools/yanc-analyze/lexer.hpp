@@ -1,11 +1,12 @@
-// Minimal C++ tokenizer for yanc-lint.
+// Minimal C++ tokenizer for yanc-analyze.
 //
-// Deliberately NOT a compiler frontend: yanc-lint is hermetic (no libclang,
-// no include resolution, no preprocessing) so it can gate CI on any machine
-// the cpp toolchain builds on.  The rules it serves need exactly this much:
-// identifiers, punctuation, literals skipped as opaque blobs, preprocessor
-// directives captured whole, and comments retained per line so suppression
-// annotations (// yanc-lint: allow(<rule>) <why>) can be honoured.
+// Deliberately NOT a compiler frontend: yanc-analyze is hermetic (no
+// libclang, no include resolution, no preprocessing) so it can gate CI on
+// any machine the cpp toolchain builds on.  The rules it serves need
+// exactly this much: identifiers, punctuation, literals skipped as opaque
+// blobs, preprocessor directives captured whole, and comments retained per
+// line so suppression annotations (// yanc-analyze: allow(<rule>) <why>)
+// can be honoured.
 #pragma once
 
 #include <cctype>
@@ -14,7 +15,7 @@
 #include <unordered_map>
 #include <vector>
 
-namespace yanclint {
+namespace yancanalyze {
 
 enum class TokKind {
   identifier,  // identifiers and keywords, undistinguished
@@ -209,4 +210,4 @@ inline LexedFile lex(std::string_view src) {
   return out;
 }
 
-}  // namespace yanclint
+}  // namespace yancanalyze

@@ -1,4 +1,4 @@
-// yanc-analyze symbol layer: grows the yanc-lint tokenizer into the
+// yanc-analyze symbol layer: grows the tokenizer (lexer.hpp) into the
 // lightweight program model the static lock-order pass runs on.
 //
 // Pass 1 (this header) walks every file's token stream once and harvests:
@@ -14,11 +14,11 @@
 //     types, body token range, constructor init-list acquisitions, and —
 //     for accessors like MemFs::shard_of — a ranked-mutex return type.
 //
-// Deliberately NOT a compiler frontend, same contract as yanc-lint: no
+// Deliberately NOT a compiler frontend, same contract as the lexer: no
 // preprocessing, no overload resolution, no templates.  The consumer
-// (yanc_analyze.cpp) compensates with the same ambiguity-aware discipline
-// as the discarded-result lint rule: a name that cannot be resolved to
-// exactly one plausible definition set is skipped, never guessed at.
+// (yanc_analyze.cpp) compensates with an ambiguity-aware discipline: a
+// name that cannot be resolved to exactly one plausible definition set is
+// skipped, never guessed at.
 #pragma once
 
 #include <deque>
@@ -27,19 +27,18 @@
 #include <string>
 #include <vector>
 
-#include "../yanc-lint/lexer.hpp"
+#include "lexer.hpp"
 
 namespace yancanalyze {
-
-using yanclint::LexedFile;
-using yanclint::TokKind;
-using yanclint::Token;
 
 struct SourceFile {
   std::string path;     // as opened
   std::string display;  // relative to root, '/'-separated
   LexedFile lex;
   bool is_header = false;
+  // Lock rules apply: library code under src/yanc/ (dbg/ included, for the
+  // rank enum and wrappers), or every file of a self-test fixture.
+  bool lock_scope = false;
   std::vector<int> brace_match;  // token index of matching {/} (-1 if none)
   std::vector<int> paren_match;  // token index of matching (/) (-1 if none)
 };

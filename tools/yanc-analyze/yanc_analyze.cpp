@@ -1,16 +1,22 @@
-// yanc-analyze — whole-program static lock-order and blocking-call
-// verification (ISSUE 9 tentpole).
+// yanc-analyze — the repo's one static checker: per-file source policy
+// plus whole-program lock-order and blocking-call verification.
 //
-// PR 4's runtime lockdep proves lock orderings for the interleavings a
-// test happens to exercise; this pass proves them for every ordering the
+// A self-contained C++20 source scanner: no libclang, no compiler, no
+// network — hermetic enough to run as a plain ctest test everywhere the
+// tree builds.  It enforces invariants that are *policy*, not syntax, so
+// no off-the-shelf tool checks them.  (Discarded results are the
+// compiler's job: `Result` is [[nodiscard]] and the build sets
+// -Werror=unused-result.)
+//
+// Runtime lockdep proves lock orderings for the interleavings a test
+// happens to exercise; the lock pass proves them for every ordering the
 // code can reach.  It builds the symbol layer in symbols.hpp over the
-// yanc-lint tokenizer, then:
+// tokenizer in lexer.hpp, then:
 //
 //   1. harvests every dbg::Mutex<Rank::X>/SharedMutex<Rank::X> declaration
 //      into a variable -> rank map, and every LockGuard/UniqueLock/
 //      SharedLock/CondVar site into guard scopes;
-//   2. constructs a conservative two-pass, name-qualified call graph (the
-//      same ambiguity-aware technique as the discarded-Result lint rule: a
+//   2. constructs a conservative two-pass, name-qualified call graph (a
 //      receiver or name that does not resolve to exactly one plausible
 //      definition set is skipped, never guessed at) and computes, by
 //      fixpoint over per-function may-acquire/may-block summaries, the
@@ -18,7 +24,24 @@
 //   3. reports rank cycles and same-rank nesting reachable through any
 //      call path, blocking calls under a held lock, and rank drift.
 //
-// Rules:
+// File rules (every scanned file):
+//   banned-function     sprintf/strcpy/strcat/strtok/gmtime/localtime/rand/
+//                       srand/rand_r — non-reentrant or unbounded C legacy.
+//   include-cycle       #include cycles among project headers.
+//   pragma-once         every header carries #pragma once.
+//   span-wait           a blocking wait (pop_wait/wait/wait_for/wait_until/
+//                       sleep*/co_await/co_yield) while an obs::Span guard
+//                       is live in the same scope — the wait would be
+//                       booked as service time, corrupting the queue/
+//                       service split.
+//
+// Lock rules (src/yanc/ outside src/yanc/dbg/, which implements the
+// primitives; tests and benches may use raw primitives for scaffolding):
+//   raw-mutex           std::mutex/std::lock_guard/std::condition_variable
+//                       and friends — a lock the rank graph and lockdep
+//                       cannot see; use the ranked dbg wrappers.
+//   manual-lock         .lock()/.unlock()/.lock_shared()/... calls — RAII
+//                       guards only, so every exit path releases.
 //   lock-cycle          the static acquired-while-held graph has a cycle
 //                       among distinct ranks — a deadlock on the right
 //                       schedule, even if no test ever interleaves it.
@@ -35,15 +58,13 @@
 //                       it, so the variable->rank map stays total.
 //   rank-unused         a dbg::Rank enumerator never instantiated as
 //                       Mutex<Rank::X>/SharedMutex<Rank::X> anywhere.
-//   unranked-mutex      std::mutex & friends outside dbg/ (rank drift:
-//                       a lock the edge graph cannot see).
 //   doc-rank-drift      the docs/CORRECTNESS.md rank table disagrees with
 //                       the enum (missing/extra/misordered rows).
 //
-// Suppression mirrors yanc-lint: a finding on line N is waived when line N
-// or N-1 carries
+// Suppression: a finding on line N is waived when line N or N-1 carries
 //     // yanc-analyze: allow(<rule>) <justification>
-// with a non-empty justification.
+// and the justification says something (3+ characters).  A waiver without
+// one waives nothing, and the finding names it.
 //
 // With --runtime-edges FILE (the dump produced by YANC_LOCK_EDGES_OUT or
 // /yanc/.stats/dbg/lock_edges), prints a static-vs-runtime coverage
@@ -58,6 +79,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <iterator>
 #include <map>
 #include <regex>
@@ -82,40 +104,41 @@ struct Finding {
   std::string message;
 };
 
-// --- suppressions (same mechanics as yanc-lint) ----------------------------
+// --- suppressions ----------------------------------------------------------
 
-bool suppressed(const LexedFile& lex, int line, const std::string& rule,
-                bool* bad_waiver) {
+enum class Waiver { none, justified, unjustified };
+
+Waiver waiver_for(const LexedFile& lex, int line, const std::string& rule) {
   static const std::regex kAllow(
       R"(yanc-analyze:\s*allow\(([a-z-]+)\)\s*(.*))");
+  Waiver found = Waiver::none;
   for (int l : {line, line - 1}) {
     auto it = lex.comments.find(l);
-    if (it == lex.comments.end()) continue;
     std::smatch m;
-    std::string text = it->second;
-    if (std::regex_search(text, m, kAllow) && m[1].str() == rule) {
-      std::string why = m[2].str();
-      while (!why.empty() && (why.back() == '/' || why.back() == ' '))
-        why.pop_back();
-      if (why.empty()) {
-        if (bad_waiver) *bad_waiver = true;
-        return false;
-      }
-      return true;
-    }
+    if (it == lex.comments.end() || !std::regex_search(it->second, m, kAllow) ||
+        m[1].str() != rule)
+      continue;
+    // Block comments may close on the same line; strip the terminator
+    // before judging the justification.
+    std::string why = m[2].str();
+    auto trailing = [](unsigned char c) {
+      return c == '/' || c == '*' || std::isspace(c);
+    };
+    while (!why.empty() && trailing(why.back())) why.pop_back();
+    if (why.size() >= 3) return Waiver::justified;
+    found = Waiver::unjustified;
   }
-  return false;
+  return found;
 }
 
 void report(std::vector<Finding>& findings, const SourceFile& sf, int line,
             std::string rule, std::string message) {
-  bool bad = false;
-  if (suppressed(sf.lex, line, rule, &bad)) return;
-  if (bad) {
-    findings.push_back(Finding{sf.display, line, rule,
-                               "suppression without justification (say why)"});
-    return;
-  }
+  Waiver w = waiver_for(sf.lex, line, rule);
+  if (w == Waiver::justified) return;
+  if (w == Waiver::unjustified)
+    message += " [the allow(" + rule +
+               ") here has no justification, so it waives nothing: say "
+               "why or remove it]";
   findings.push_back(
       Finding{sf.display, line, std::move(rule), std::move(message)});
 }
@@ -1009,26 +1032,198 @@ void rule_rank_unused(const Index& index, std::vector<Finding>& out) {
   }
 }
 
-const std::set<std::string>& raw_lock_types() {
-  static const std::set<std::string> k = {
+// --- lock rules, per file --------------------------------------------------
+
+void rule_raw_mutex(const SourceFile& sf, std::vector<Finding>& out) {
+  static const std::set<std::string> kRawLockTypes = {
       "mutex",       "shared_mutex",       "recursive_mutex",
       "timed_mutex", "shared_timed_mutex", "recursive_timed_mutex",
-      "condition_variable", "condition_variable_any"};
-  return k;
+      "lock_guard",  "unique_lock",        "shared_lock",
+      "scoped_lock", "condition_variable", "condition_variable_any"};
+  const auto& t = sf.lex.tokens;
+  for (std::size_t i = 0; i + 2 < t.size(); ++i) {
+    if (is_ident(t[i]) && t[i].text == "std" && t[i + 1].text == "::" &&
+        is_ident(t[i + 2]) && kRawLockTypes.count(t[i + 2].text))
+      report(out, sf, t[i].line, "raw-mutex",
+             "std::" + t[i + 2].text +
+                 " — a lock the rank graph and lockdep cannot see; use the "
+                 "ranked yanc::dbg wrappers and guards (docs/CORRECTNESS.md)");
+  }
 }
 
-void rule_unranked_mutex(const SourceFile& sf, std::vector<Finding>& out) {
-  if (in_dbg_dir(sf)) return;  // dbg/ wraps the raw primitives by design
+void rule_manual_lock(const SourceFile& sf, std::vector<Finding>& out) {
+  static const std::set<std::string> kManualLockCalls = {
+      "lock", "unlock", "try_lock", "lock_shared", "unlock_shared",
+      "try_lock_shared"};
   const auto& t = sf.lex.tokens;
-  for (std::size_t i = 2; i < t.size(); ++i) {
-    if (!is_ident(t[i]) || !raw_lock_types().count(t[i].text)) continue;
-    if (t[i - 1].text == "::" && is_ident(t[i - 2]) &&
-        t[i - 2].text == "std")
-      report(out, sf, t[i].line, "unranked-mutex",
-             "std::" + t[i].text +
-                 " outside dbg/ — a lock the rank graph cannot see; use "
-                 "the ranked dbg wrappers");
+  for (std::size_t i = 1; i + 1 < t.size(); ++i) {
+    if (!is_ident(t[i]) || !kManualLockCalls.count(t[i].text)) continue;
+    if (t[i - 1].text != "." && t[i - 1].text != "->") continue;
+    if (t[i + 1].text != "(") continue;
+    report(out, sf, t[i].line, "manual-lock",
+           "." + t[i].text +
+               "() — acquire through RAII guards (dbg::LockGuard/"
+               "UniqueLock/SharedLock) so every exit path releases");
   }
+}
+
+// --- file rules -------------------------------------------------------------
+
+void rule_banned_function(const SourceFile& sf, std::vector<Finding>& out) {
+  static const std::set<std::string> kBannedFunctions = {
+      "sprintf", "vsprintf", "strcpy", "strcat", "strtok",
+      "gmtime",  "localtime", "rand",  "srand",  "rand_r"};
+  // `int rand(...)` is a declaration of a project function, not a call; a
+  // call is never directly preceded by a plain identifier unless that
+  // identifier is a statement keyword.
+  static const std::set<std::string> kCallKeywords = {
+      "return", "co_return", "co_await", "co_yield", "throw",
+      "else",   "do",        "case"};
+  const auto& t = sf.lex.tokens;
+  for (std::size_t i = 0; i + 1 < t.size(); ++i) {
+    if (!is_ident(t[i]) || !kBannedFunctions.count(t[i].text)) continue;
+    if (t[i + 1].text != "(") continue;
+    if (i > 0) {
+      const std::string& prev = t[i - 1].text;
+      if (prev == "." || prev == "->") continue;  // member of another type
+      if (is_ident(t[i - 1]) && !kCallKeywords.count(prev)) continue;
+      if (prev == "::") {
+        // std::rand is as banned as ::rand; other qualifiers name project
+        // functions that merely share the name.
+        bool std_qualified =
+            i >= 2 && is_ident(t[i - 2]) && t[i - 2].text == "std";
+        bool global_qualified = i < 2 || !is_ident(t[i - 2]);
+        if (!std_qualified && !global_qualified) continue;
+      }
+    }
+    report(out, sf, t[i].line, "banned-function",
+           t[i].text +
+               "() is banned (non-reentrant/unbounded); use the yanc "
+               "equivalents (util::Rng, strings.hpp, snprintf)");
+  }
+}
+
+void rule_pragma_once(const SourceFile& sf, std::vector<Finding>& out) {
+  if (!sf.is_header) return;
+  for (const Token& tok : sf.lex.tokens) {
+    if (tok.kind == TokKind::preproc &&
+        tok.text.find("pragma") != std::string::npos &&
+        tok.text.find("once") != std::string::npos)
+      return;
+  }
+  report(out, sf, 1, "pragma-once",
+         "header without #pragma once (every yanc header is include-guarded "
+         "this way)");
+}
+
+/// Blocking calls that must not run under a live obs::Span guard: the
+/// guard measures *service* time, and a wait inside it books queue time
+/// as work, corrupting the per-stage attribution `/yanc/.trace` reports.
+void rule_span_wait(const SourceFile& sf, std::vector<Finding>& out) {
+  static const std::set<std::string> kBlockingWaits = {
+      "pop_wait", "wait", "wait_for", "wait_until",
+      "sleep",    "sleep_for", "sleep_until"};
+  const auto& t = sf.lex.tokens;
+  struct OpenSpan {
+    int depth;
+    int line;
+    std::string name;
+  };
+  std::vector<OpenSpan> open;
+  int depth = 0;
+  for (std::size_t i = 0; i < t.size(); ++i) {
+    const std::string& s = t[i].text;
+    if (s == "{") {
+      ++depth;
+      continue;
+    }
+    if (s == "}") {
+      // Guards declared in the closing scope are destroyed here.
+      while (!open.empty() && open.back().depth >= depth) open.pop_back();
+      --depth;
+      continue;
+    }
+    if (!is_ident(t[i])) continue;
+    // A guard declaration: `obs :: Span name (` inside a function body.
+    // The qualifier requirement keeps `Span make();` member declarations
+    // (the most-vexing-parse twin) from registering phantom guards.
+    if (s == "Span" && depth >= 1 && i >= 2 && i + 2 < t.size() &&
+        t[i - 2].text == "obs" && t[i - 1].text == "::" &&
+        is_ident(t[i + 1]) && t[i + 2].text == "(") {
+      open.push_back({depth, t[i].line, t[i + 1].text});
+      continue;
+    }
+    bool blocking = s == "co_await" || s == "co_yield";
+    if (!blocking && kBlockingWaits.count(s) && i + 1 < t.size() &&
+        t[i + 1].text == "(")
+      blocking = true;
+    if (blocking && !open.empty())
+      report(out, sf, t[i].line, "span-wait",
+             s + " while span guard '" + open.back().name + "' (line " +
+                 std::to_string(open.back().line) +
+                 ") is live — the wait is booked as service time; close "
+                 "the span first or measure the wait as queue_ns");
+  }
+}
+
+void rule_include_cycle(const std::deque<SourceFile>& files,
+                        const fs::path& root, std::vector<Finding>& out) {
+  static const std::regex kInclude(R"(#\s*include\s+\"([^\"]+)\")");
+  // Graph over headers only (a cycle must pass exclusively through them).
+  std::map<std::string, const SourceFile*> by_canonical;
+  for (const auto& sf : files) {
+    if (!sf.is_header) continue;
+    std::error_code ec;
+    fs::path canon = fs::weakly_canonical(sf.path, ec);
+    by_canonical[(ec ? fs::path(sf.path) : canon).generic_string()] = &sf;
+  }
+  std::map<std::string, std::vector<std::string>> edges;
+  for (const auto& [canon, sf] : by_canonical) {
+    for (const Token& tok : sf->lex.tokens) {
+      std::smatch m;
+      if (tok.kind != TokKind::preproc ||
+          !std::regex_search(tok.text, m, kInclude))
+        continue;
+      const std::string inc = m[1].str();
+      for (const fs::path& cand :
+           {root / "src" / inc, fs::path(sf->path).parent_path() / inc}) {
+        std::error_code ec;
+        fs::path canon_inc = fs::weakly_canonical(cand, ec);
+        if (ec) continue;
+        std::string key = canon_inc.generic_string();
+        if (by_canonical.count(key)) {
+          edges[canon].push_back(key);
+          break;
+        }
+      }
+    }
+  }
+  // DFS with colour marking; report each cycle once.
+  std::map<std::string, int> colour;  // 0 white, 1 grey, 2 black
+  std::vector<std::string> stack;
+  std::set<std::string> reported;
+  std::function<void(const std::string&)> dfs = [&](const std::string& u) {
+    colour[u] = 1;
+    stack.push_back(u);
+    for (const std::string& v : edges[u]) {
+      if (colour[v] == 1) {
+        std::string cycle;
+        for (auto it = std::find(stack.begin(), stack.end(), v);
+             it != stack.end(); ++it)
+          cycle += by_canonical[*it]->display + " -> ";
+        cycle += by_canonical[v]->display;
+        if (reported.insert(cycle).second)
+          out.push_back(Finding{by_canonical[v]->display, 1, "include-cycle",
+                                "header include cycle: " + cycle});
+      } else if (colour[v] == 0) {
+        dfs(v);
+      }
+    }
+    stack.pop_back();
+    colour[u] = 2;
+  };
+  for (const auto& [node, _] : by_canonical)
+    if (colour[node] == 0) dfs(node);
 }
 
 // docs/CORRECTNESS.md rank table vs the enum: names, order, count.
@@ -1270,8 +1465,9 @@ int load_files(const std::vector<std::string>& paths, const fs::path& root,
     SourceFile& sf = files.back();
     sf.path = p.string();
     sf.display = display_path(p, root);
-    sf.lex = yanclint::lex(src);
+    sf.lex = lex(src);
     sf.is_header = p.extension() == ".hpp" || p.extension() == ".h";
+    sf.lock_scope = sf.display.rfind("src/yanc/", 0) == 0;
     compute_matches(sf);
   }
   return 0;
@@ -1282,11 +1478,12 @@ struct RunResult {
   std::map<EdgeKey, EdgeInfo> edges;
 };
 
-RunResult run_analysis(std::deque<SourceFile>& files,
+RunResult run_analysis(std::deque<SourceFile>& files, const fs::path& root,
                        const std::string& doc_path) {
   RunResult rr;
   Index index;
   for (SourceFile& sf : files) {
+    if (!sf.lock_scope) continue;
     Harvester h(sf, index);
     h.run();
   }
@@ -1294,8 +1491,17 @@ RunResult run_analysis(std::deque<SourceFile>& files,
   a.run();
   rr.edges = std::move(a.edges);
   rule_rank_unused(index, rr.findings);
-  for (const SourceFile& sf : files) rule_unranked_mutex(sf, rr.findings);
   if (!doc_path.empty()) rule_doc_rank_drift(index, doc_path, rr.findings);
+  for (const SourceFile& sf : files) {
+    if (sf.lock_scope && !in_dbg_dir(sf)) {  // dbg/ wraps the primitives
+      rule_raw_mutex(sf, rr.findings);
+      rule_manual_lock(sf, rr.findings);
+    }
+    rule_banned_function(sf, rr.findings);
+    rule_pragma_once(sf, rr.findings);
+    rule_span_wait(sf, rr.findings);
+  }
+  rule_include_cycle(files, root, rr.findings);
   std::sort(rr.findings.begin(), rr.findings.end(),
             [](const Finding& a, const Finding& b) {
               return std::tie(a.file, a.line, a.rule) <
@@ -1317,6 +1523,7 @@ int self_test(const fs::path& fixtures_arg) {
   }
   static const std::regex kName(R"(^([a-z_]+?)_(bad|ok)[0-9]*$)");
   int failures = 0, cases = 0;
+  std::set<std::string> bad_rules, ok_rules;
   std::vector<fs::path> entries;
   for (const auto& de : fs::directory_iterator(fixtures))
     entries.push_back(de.path());
@@ -1324,10 +1531,17 @@ int self_test(const fs::path& fixtures_arg) {
   for (const fs::path& p : entries) {
     std::string stem = p.stem().string();
     std::smatch m;
-    if (!std::regex_match(stem, m, kName)) continue;
+    if (!std::regex_match(stem, m, kName)) {
+      // A fixture that never runs is a test silently lost.
+      ++failures;
+      std::fprintf(stderr, "FAIL %s: not named <rule>_(bad|ok)[N]\n",
+                   stem.c_str());
+      continue;
+    }
     std::string rule = m[1].str();
     std::replace(rule.begin(), rule.end(), '_', '-');
     bool expect_bad = m[2].str() == "bad";
+    (expect_bad ? bad_rules : ok_rules).insert(rule);
     ++cases;
 
     std::deque<SourceFile> files;
@@ -1347,7 +1561,8 @@ int self_test(const fs::path& fixtures_arg) {
       ++failures;
       continue;
     }
-    RunResult rr = run_analysis(files, doc);
+    for (SourceFile& sf : files) sf.lock_scope = true;
+    RunResult rr = run_analysis(files, fixtures, doc);
     int hits = 0;
     for (const Finding& f : rr.findings)
       if (f.rule == rule) ++hits;
@@ -1360,6 +1575,14 @@ int self_test(const fs::path& fixtures_arg) {
         std::fprintf(stderr, "  saw %s:%d [%s] %s\n", f.file.c_str(), f.line,
                      f.rule.c_str(), f.message.c_str());
     }
+  }
+  // An ok fixture passes vacuously for a rule that does not exist (a typo
+  // in its name); a bad fixture of the same rule proves the rule fires.
+  for (const std::string& rule : ok_rules) {
+    if (bad_rules.count(rule)) continue;
+    ++failures;
+    std::fprintf(stderr, "FAIL %s: ok fixture without a bad one\n",
+                 rule.c_str());
   }
   std::printf("yanc-analyze self-test: %d case(s), %d failure(s)\n", cases,
               failures);
@@ -1403,7 +1626,7 @@ int main(int argc, char** argv) {
       std::printf(
           "usage: yanc-analyze [--root DIR] [--doc FILE] [--json]\n"
           "                    [--dump-edges] [--runtime-edges FILE]\n"
-          "                    [paths...]     (default: src/yanc)\n"
+          "                    [paths...]     (default: src tests bench)\n"
           "       yanc-analyze --self-test <fixtures-dir>\n");
       return 0;
     } else if (!arg.empty() && arg[0] == '-') {
@@ -1413,7 +1636,7 @@ int main(int argc, char** argv) {
       paths.push_back(arg);
     }
   }
-  if (paths.empty()) paths.push_back("src/yanc");
+  if (paths.empty()) paths = {"src", "tests", "bench"};
 
   std::deque<SourceFile> files;
   if (int rc = load_files(paths, root, files)) return rc;
@@ -1422,7 +1645,7 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  RunResult rr = run_analysis(files, doc);
+  RunResult rr = run_analysis(files, root, doc);
   Coverage cov;
   if (!runtime_edges.empty()) {
     cov = diff_runtime(rr.edges, runtime_edges);
