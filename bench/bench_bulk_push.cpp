@@ -146,8 +146,7 @@ void BM_BulkPush_DriverPipeline(benchmark::State& state) {
     state.ResumeTiming();
     settle();  // commit: watch shard -> flow read -> wire -> barrier
     state.PauseTiming();
-    // rmdir, not remove_all: a flow is a schema object removed whole;
-    // remove_all recurses into its fixed counters/ dir and fails.
+    // A flow is a schema object: one rmdir removes it whole.
     bool removed = true;
     for (int f = 0; f < kBurst; ++f)
       removed = !v->rmdir(base + std::to_string(f)) && removed;

@@ -22,13 +22,12 @@
 
 #include "yanc/cluster/harness.hpp"
 #include "yanc/driver/of_driver.hpp"
-#include "yanc/faults/faults_fs.hpp"
+#include "yanc/faults/injector.hpp"
 #include "yanc/netfs/yancfs.hpp"
-#include "yanc/obs/stats_fs.hpp"
-#include "yanc/obs/trace_fs.hpp"
 #include "yanc/shell/coreutils.hpp"
 #include "yanc/sw/switch.hpp"
 #include "yanc/util/strings.hpp"
+#include "yanc/vfs/synth_fs.hpp"
 
 using namespace yanc;
 
@@ -93,7 +92,7 @@ struct World {
       std::make_shared<faults::Injector>(1);
   std::unique_ptr<driver::OfDriver> driver;
   std::vector<std::unique_ptr<sw::Switch>> switches;
-  std::shared_ptr<obs::StatsFs> stats;
+  std::shared_ptr<vfs::SynthFs> stats;
 
   World() {
     (void)netfs::mount_yanc_fs(*vfs);
@@ -108,8 +107,8 @@ struct World {
     driver->listener().set_fault_hook_factory(
         faults::channel_hook_factory(injector));
     (void)faults::mount_faults_fs(*vfs, injector);
-    if (auto fs = obs::mount_stats_fs(*vfs)) stats = *fs;
-    (void)obs::mount_trace_fs(*vfs);
+    if (auto fs = vfs::mount_stats_fs(*vfs)) stats = *fs;
+    (void)vfs::mount_trace_fs(*vfs);
     for (std::uint64_t dpid : {1, 2}) {
       sw::SwitchOptions opts;
       opts.datapath_id = dpid;

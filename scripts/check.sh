@@ -8,8 +8,10 @@
 #             (clang-tidy, when installed), yanc-analyze with the runtime
 #             lock-coverage sweep (scripts/analyze.sh --coverage), a
 #             lockdep-OFF release build proving the wrappers compile
-#             away, then ASan/UBSan over the full suite and TSan over the
-#             concurrency suites via scripts/sanitize.sh.
+#             away, the perfbench smoke test (perfbench builds ../src
+#             with its own Release, YANC_DBG_LOCKS=0 flags, a build tier 1
+#             never exercises), then ASan/UBSan over the full suite and
+#             TSan over the concurrency suites via scripts/sanitize.sh.
 #   --fast  — static-only yanc-analyze, stop before the coverage sweep
 #             and sanitizer rebuilds.
 set -euo pipefail
@@ -85,6 +87,9 @@ if [[ "$FAST" == 1 ]]; then
   echo "check.sh --fast: OK (sanitizers skipped)"
   exit 0
 fi
+
+echo "=== perfbench smoke (every workload, both modes, 1 s each) ==="
+python3 perfbench/smoke_test.py
 
 echo "=== asan+ubsan ==="
 scripts/sanitize.sh asan

@@ -3,8 +3,8 @@
 #include <algorithm>
 
 #include "yanc/netfs/flowio.hpp"
-#include "yanc/obs/stats_fs.hpp"
 #include "yanc/util/strings.hpp"
+#include "yanc/vfs/synth_fs.hpp"
 
 namespace yanc::cluster {
 
@@ -35,7 +35,7 @@ Harness::Harness(HarnessOptions options)
     // the files themselves live in the replicated /net/.cluster.
     std::ignore = node->vfs->mkdir_p("/yanc");
     std::ignore = node->vfs->symlink("/net/.cluster", "/yanc/.cluster");
-    std::ignore = obs::mount_stats_fs(*node->vfs);
+    std::ignore = vfs::mount_stats_fs(*node->vfs);
 
     ManagerOptions mopts;
     mopts.node_id = i;

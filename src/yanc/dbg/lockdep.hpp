@@ -55,8 +55,7 @@ enum class Rank : std::uint8_t {
   vfs_emit,         // MemFs watch fan-out order lock (emit_mu_)
   watch_registry,   // WatchRegistry subscription map
   watch_queue,      // WatchQueue consumer queues
-  stats_fs,         // obs::StatsFs tree
-  faults_fs,        // faults::FaultsFs nodes
+  synth_fs,         // vfs::SynthFs tree (/yanc/.stats, .trace, .faults)
   faults_injector,  // faults::Injector plans + rng
   obs_metrics,      // obs::Registry name map
   obs_trace,        // obs::TraceRing ring
@@ -68,11 +67,10 @@ enum class Rank : std::uint8_t {
   dist_transport,   // reserved (dist layer is scheduler-single-threaded)
   // yanc-analyze: allow(rank-unused) reserved: drivers run on the caller's thread
   driver,           // reserved (drivers run on the caller's thread)
-  trace_fs,         // obs::TraceFs by-id node map
   cluster_manager,  // cluster::Manager lease/election state
 };
 
-inline constexpr std::size_t kRankCount = 20;
+inline constexpr std::size_t kRankCount = 18;
 
 /// Stable lower_snake name for diagnostics ("vfs_namespace").
 const char* rank_name(Rank r) noexcept;

@@ -838,18 +838,9 @@ Status ReplicatedYancFs::removexattr(NodeId node, const std::string& name,
 Cluster::Cluster(net::Scheduler& scheduler, ClusterOptions options)
     : transport_(scheduler, options.link_latency) {
   for (std::size_t i = 0; i < options.nodes; ++i) {
-    auto replica = std::make_shared<ReplicatedYancFs>(
-        ReplicaOptions{options.default_mode});
-    replicas_.push_back(replica);
-  }
-  for (std::size_t i = 0; i < replicas_.size(); ++i) {
-    auto replica = replicas_[i];
-    Transport::NodeId id = transport_.join(
-        [replica](Transport::NodeId from,
-                  const std::vector<std::uint8_t>& bytes) {
-          replica->handle_message(from, bytes);
-        });
-    replica->attach(&transport_, id, /*primary=*/0);
+    replicas_.push_back(std::make_shared<ReplicatedYancFs>(
+        ReplicaOptions{options.default_mode}));
+    replicas_.back()->join_cluster(transport_, /*primary=*/0);
   }
 }
 

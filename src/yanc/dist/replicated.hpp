@@ -115,8 +115,6 @@ class ReplicatedYancFs : public netfs::YancFs {
   std::uint64_t repairs_applied() const noexcept { return repairs_; }
 
  private:
-  friend class Cluster;
-
   struct Op;
   struct Snapshot;
   void handle_message(Transport::NodeId from,

@@ -98,8 +98,7 @@ class Transport {
   /// re-registered while they were in flight, a delay fault held them
   /// across a partition, or a send addressed a departed node.
   std::uint64_t send_failures() const noexcept { return send_failures_; }
-  /// Registers dist/send_fail_total (surfaced by StatsFs under
-  /// /yanc/.stats/dist/).
+  /// Registers dist/send_fail_total (surfaced under /yanc/.stats/dist/).
   void bind_metrics(obs::Registry& registry);
 
   VirtualClock::duration latency() const noexcept { return latency_; }

@@ -78,6 +78,15 @@ struct OfDriver::Connection {
   // In-flight tracked requests, keyed by xid.
   std::map<std::uint32_t, PendingRequest> pending;
   std::uint32_t audit_xid = 0;  // outstanding audit flow-stats request
+  // What had been sent when that request left.  Its reply shows the
+  // hardware as of then, so a push or delete sent later is in flight,
+  // not drift.
+  struct AuditedFlow {
+    std::string name;
+    std::uint64_t version = 0;
+    FlowSpec spec;
+  };
+  std::vector<AuditedFlow> audit_sent;
 
   struct FlowState {
     std::uint64_t pushed_version = 0;
@@ -340,8 +349,12 @@ std::size_t OfDriver::poll() {
   for (auto& conn : connections_) work += drain_shard(*conn);
   service_timers();
   // Ship every burst the poll accumulated (drains, audit repairs,
-  // retries) — one vectored train per switch per quantum.
-  for (auto& conn : connections_) flush_egress(*conn);
+  // retries) — one vectored train per switch per quantum — and only then
+  // start audits, so an audit request never overtakes a train.
+  for (auto& conn : connections_) {
+    flush_egress(*conn);
+    start_audit(*conn);
+  }
 
   // Reap dead connections: mark the FS, drop watches.
   for (auto it = connections_.begin(); it != connections_.end();) {
@@ -1033,24 +1046,31 @@ void OfDriver::service_timers() {
       }
       retry_request(conn, request);
     }
-    if (!conn.channel.connected()) continue;
-
-    // Periodic audit: barriers confirm ordering, not delivery of what
-    // came before them on a lossy link; the audit compares the FS (the
-    // record) against hardware (flow stats) and repairs the difference.
-    // An audit still outstanding after a whole further interval is
-    // presumed lost (request or reply eaten by the wire) and replaced —
-    // its xid must not wedge auditing for good.
-    if (options_.audit_interval && conn.state == Connection::State::ready &&
-        tick_ - conn.last_audit_tick >= options_.audit_interval) {
-      conn.last_audit_tick = tick_;
-      absorb_duplicate_dirs(conn);
-      ofp::StatsRequest flows;
-      flows.kind = ofp::StatsKind::flow;
-      conn.audit_xid = send(conn, flows);
-      if (conn.audit_xid) metrics_.audit_total->add();
-    }
   }
+}
+
+void OfDriver::start_audit(Connection& conn) {
+  // Periodic audit: barriers confirm ordering, not delivery of what
+  // came before them on a lossy link; the audit compares what was sent
+  // against hardware (flow stats) and repairs the difference.  An audit
+  // still outstanding after a whole further interval is presumed lost
+  // (request or reply eaten by the wire) and replaced — its xid must not
+  // wedge auditing for good.
+  if (!options_.audit_interval || conn.state != Connection::State::ready ||
+      !conn.channel.connected() || conn.superseded ||
+      tick_ - conn.last_audit_tick < options_.audit_interval)
+    return;
+  conn.last_audit_tick = tick_;
+  absorb_duplicate_dirs(conn);
+  ofp::StatsRequest flows;
+  flows.kind = ofp::StatsKind::flow;
+  conn.audit_xid = send(conn, flows);
+  if (!conn.audit_xid) return;
+  metrics_.audit_total->add();
+  conn.audit_sent.clear();
+  for (const auto& [name, state] : conn.flows)
+    if (state.pushed_version > 0)
+      conn.audit_sent.push_back({name, state.pushed_version, state.pushed});
 }
 
 void OfDriver::absorb_duplicate_dirs(Connection& conn) {
@@ -1098,54 +1118,45 @@ void OfDriver::absorb_duplicate_dirs(Connection& conn) {
     absorb_deferred_.erase(dir);
     log_error("driver", conn.name + ": absorbing duplicate directory " +
                             e.name + " for dpid " + std::to_string(conn.dpid));
-    // rmdir, not remove_all: the switch object allows recursive rmdir,
-    // while remove_all's recursion would trip over the schema's fixed
-    // dirs (flows/, ports/ ... are not individually removable).
+    // The switch is a schema object: one rmdir removes it whole.
     (void)vfs_->rmdir(dir);
   }
 }
 
 void OfDriver::audit_reconcile(Connection& conn, const ofp::StatsReply& sr) {
-  // Ground truth is the FS: every committed flows/<name> must be on the
-  // hardware, and nothing else may be.
-  std::string flows_dir = conn.path + "/flows";
-  auto names = vfs_->readdir(flows_dir);
-  if (!names) return;
-
+  // Every flow sent before the request must be on the hardware, and
+  // nothing else may be.
   std::vector<const flow::FlowSpec*> hardware;
   for (const auto& entry : sr.flows) hardware.push_back(&entry.spec);
   std::vector<bool> claimed(hardware.size(), false);
 
-  for (const auto& e : *names) {
-    auto spec = netfs::read_flow(*vfs_, flows_dir + "/" + e.name);
-    if (!spec || spec->version == 0) continue;  // uncommitted: not expected
+  for (const auto& sent : conn.audit_sent) {
     bool found = false;
     for (std::size_t i = 0; i < hardware.size(); ++i) {
       if (claimed[i]) continue;
-      if (hardware[i]->match == spec->match &&
-          hardware[i]->priority == spec->priority &&
-          hardware[i]->table_id == spec->table_id) {
+      if (hardware[i]->match == sent.spec.match &&
+          hardware[i]->priority == sent.spec.priority &&
+          hardware[i]->table_id == sent.spec.table_id) {
         claimed[i] = found = true;
         break;
       }
     }
     if (found) continue;
-    // Committed in the FS, absent from hardware: a flow_mod died on the
-    // wire after its barrier survived.  Re-push from the record.
+    // Sent, yet absent from hardware: a flow_mod died on the wire after
+    // its barrier survived.  Re-push from the FS record — unless the flow
+    // was deleted or recommitted since, whose newer mod is in flight.
+    auto it = conn.flows.find(sent.name);
+    if (it == conn.flows.end() || it->second.pushed_version != sent.version)
+      continue;
     metrics_.audit_repair_total->add();
     metrics_.resync_total->add();
-    auto it = conn.flows.find(e.name);
-    if (it == conn.flows.end()) {
-      watch_flow(conn, e.name);
-      it = conn.flows.find(e.name);
-      if (it == conn.flows.end()) continue;
-    }
     it->second.pushed_version = 0;
-    push_flow(conn, e.name);
+    push_flow(conn, sent.name);
   }
+  conn.audit_sent.clear();
 
-  // Hardware entries no FS flow claims: stale state from a previous life
-  // (or a delete whose flow_mod was lost).  Remove them.
+  // Hardware entries nothing sent claims: stale state from a previous
+  // life (or a delete whose flow_mod was lost).  Remove them.
   for (std::size_t i = 0; i < hardware.size(); ++i) {
     if (claimed[i]) continue;
     metrics_.audit_repair_total->add();

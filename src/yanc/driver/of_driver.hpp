@@ -172,15 +172,19 @@ class OfDriver {
   /// Sends the tracked FeaturesRequest of the handshake and arms its
   /// retry timer.  Commit barriers are tracked by flush_egress.
   void request_features(Connection& conn, std::uint32_t retries);
-  /// Keepalives, request timeouts with exponential backoff, audits.
+  /// Keepalives, request timeouts with exponential backoff.
   void service_timers();
+  /// Sends the periodic audit flow-stats request once `conn`'s interval
+  /// is up, noting what had been sent by then.  Runs after the poll's
+  /// flush, so the request follows every FLOW_MOD already queued.
+  void start_audit(Connection& conn);
   /// Handles one expired tracked request on `conn`: re-pushes every flow
   /// the lost train covered (a lost barrier vouches for none of them),
   /// annotating and re-staging any causal traces the train carried.
   void retry_request(Connection& conn, const PendingRequest& request);
-  /// Reconciles the FS flow directories against an audit flow-stats
-  /// reply: re-pushes committed flows missing from hardware, deletes
-  /// hardware entries no FS flow claims.
+  /// Reconciles an audit flow-stats reply against what had been sent when
+  /// its request left: re-pushes flows missing from hardware, deletes
+  /// hardware entries nothing sent claims.
   void audit_reconcile(Connection& conn, const ofp::StatsReply& sr);
   /// Full flows/ rescan, on connect (adopts every existing flow) and
   /// after a watch-queue overflow: re-arms stale watches, pushes missed

@@ -2,12 +2,13 @@
 
 #include <vector>
 
+#include "yanc/util/strings.hpp"
+
 namespace yanc::faults {
 
 void Injector::reseed(std::uint64_t seed) {
   dbg::LockGuard lock(mu_);
   rng_.reseed(seed);
-  ++generation_;
 }
 
 std::uint64_t Injector::seed() const {
@@ -23,12 +24,6 @@ FaultPlan Injector::plan(Scope scope) const {
 void Injector::set_plan(Scope scope, FaultPlan plan) {
   dbg::LockGuard lock(mu_);
   plans_[static_cast<int>(scope)] = plan;
-  ++generation_;
-}
-
-std::uint64_t Injector::generation() const {
-  dbg::LockGuard lock(mu_);
-  return generation_;
 }
 
 void Injector::bind_metrics(obs::Registry& registry) {
@@ -158,6 +153,36 @@ std::function<std::shared_ptr<net::FaultHook>()> channel_hook_factory(
   return [injector]() -> std::shared_ptr<net::FaultHook> {
     return std::make_shared<ChannelFaults>(injector);
   };
+}
+
+Result<std::shared_ptr<vfs::SynthFs>> mount_faults_fs(
+    vfs::Vfs& vfs, std::shared_ptr<Injector> injector,
+    const std::string& mount_path) {
+  if (!injector) return Errc::invalid_argument;
+  injector->bind_metrics(*vfs.metrics());
+  auto fs = std::make_shared<vfs::SynthFs>();
+  fs->add_file(
+      "seed", [injector] { return std::to_string(injector->seed()) + "\n"; },
+      [injector](std::string_view text) -> Status {
+        auto seed = parse_u64(trim(text));
+        if (!seed) return make_error_code(Errc::invalid_argument);
+        injector->reseed(*seed);
+        return ok_status();
+      });
+  for (Scope scope : {Scope::channel, Scope::transport})
+    fs->add_file(
+        scope == Scope::channel ? "channel/policy" : "transport/policy",
+        [injector, scope] { return injector->plan(scope).format() + "\n"; },
+        [injector, scope](std::string_view text) -> Status {
+          auto plan = FaultPlan::parse(text);
+          if (!plan) return plan.error();
+          injector->set_plan(scope, *plan);
+          return ok_status();
+        });
+  if (auto ec = vfs.mkdir_p(mount_path, 0555, vfs::Credentials::root()))
+    return ec;
+  if (auto ec = vfs.mount(mount_path, fs)) return ec;
+  return fs;
 }
 
 }  // namespace yanc::faults

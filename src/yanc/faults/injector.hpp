@@ -21,6 +21,7 @@
 #include "yanc/net/channel.hpp"
 #include "yanc/obs/metrics.hpp"
 #include "yanc/util/rng.hpp"
+#include "yanc/vfs/synth_fs.hpp"
 
 namespace yanc::faults {
 
@@ -45,8 +46,6 @@ class Injector {
 
   FaultPlan plan(Scope scope) const;
   void set_plan(Scope scope, FaultPlan plan);
-  /// Bumps every time a plan or the seed changes (FaultsFs cache key).
-  std::uint64_t generation() const;
 
   /// Registers faults/{drop,duplicate,reorder,corrupt,delay,disconnect}_total.
   void bind_metrics(obs::Registry& registry);
@@ -61,7 +60,6 @@ class Injector {
   mutable dbg::Mutex<dbg::Rank::faults_injector> mu_;
   util::Rng rng_;
   FaultPlan plans_[2];
-  std::uint64_t generation_ = 0;
 
   struct Counters {
     obs::Counter* drop = nullptr;
@@ -78,5 +76,21 @@ class Injector {
 /// delay stash.
 std::function<std::shared_ptr<net::FaultHook>()> channel_hook_factory(
     std::shared_ptr<Injector> injector);
+
+/// Serves `injector`'s knobs as files at `mount_path` and binds its
+/// counters into `vfs`'s metrics registry.  Reads show the live plan;
+/// writes parse, then apply, so an invalid policy fails with EINVAL and
+/// never takes effect:
+///
+///   $ echo 'drop=0.05' > /yanc/.faults/channel/policy      # switch links
+///   $ echo 'drop=0.3'  > /yanc/.faults/transport/policy    # replica links
+///   $ echo 7 > /yanc/.faults/seed                          # replay seed 7
+///   $ echo off > /yanc/.faults/channel/policy              # heal
+///
+/// A sibling of /yanc/.stats: one subtree injects the failures, the other
+/// watches the recovery.
+Result<std::shared_ptr<vfs::SynthFs>> mount_faults_fs(
+    vfs::Vfs& vfs, std::shared_ptr<Injector> injector,
+    const std::string& mount_path = "/yanc/.faults");
 
 }  // namespace yanc::faults

@@ -3,14 +3,14 @@
 // Subsystems record what happened and when against the simulation's
 // VirtualClock (or any other nanosecond timestamp source); the ring keeps
 // the most recent `capacity` records and counts what it had to drop.
-// TraceFs renders the process ring under `/yanc/.trace`, so reading a
+// `/yanc/.trace` renders the process ring, so reading a
 // file answers "what did the controller just do" the same way the rest of
 // the paper's state model answers "what is the controller's state".
 //
 // Records optionally carry causal linkage (trace_id / span_id /
 // parent_span_id, plus the queue-wait preceding the span's service time):
 // the Tracer (yanc/obs/tracer.hpp) threads these through the pipeline and
-// TraceFs reconstructs per-trace span trees from them.  Legacy records
+// render_trace() reconstructs per-trace span trees from them.  Legacy records
 // leave the linkage fields zero and render exactly as before.
 #pragma once
 
@@ -102,5 +102,14 @@ class TraceRing {
   std::size_t head_ = 0;          // index of the oldest record once wrapped
   std::uint64_t seq_ = 0;
 };
+
+/// One trace's records as an indented span tree, oldest first (the
+/// `/yanc/.trace/by-id/<id>` view); empty when no record belongs to it.
+std::string render_trace(const std::vector<TraceEvent>& events,
+                         std::uint64_t trace_id);
+
+/// Records as Chrome trace_event JSON (load in chrome://tracing or
+/// Perfetto): one complete ("X") event per span, one tid row per trace.
+std::string render_chrome_json(const std::vector<TraceEvent>& events);
 
 }  // namespace yanc::obs

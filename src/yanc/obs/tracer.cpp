@@ -1,8 +1,35 @@
 #include "yanc/obs/tracer.hpp"
 
 #include <chrono>
+#include <optional>
+
+#include "yanc/util/strings.hpp"
 
 namespace yanc::obs {
+
+namespace {
+
+/// Parses a duration token: digits with an optional ns/us/ms/s suffix.
+std::optional<std::uint64_t> parse_duration_ns(std::string_view text) {
+  std::uint64_t scale = 1;
+  if (text.size() >= 2 && text.substr(text.size() - 2) == "ns") {
+    text.remove_suffix(2);
+  } else if (text.size() >= 2 && text.substr(text.size() - 2) == "us") {
+    text.remove_suffix(2);
+    scale = 1000;
+  } else if (text.size() >= 2 && text.substr(text.size() - 2) == "ms") {
+    text.remove_suffix(2);
+    scale = 1000000;
+  } else if (text.size() >= 1 && text.back() == 's') {
+    text.remove_suffix(1);
+    scale = 1000000000;
+  }
+  auto value = parse_u64(text);
+  if (!value || *value > UINT64_MAX / scale) return std::nullopt;
+  return *value * scale;
+}
+
+}  // namespace
 
 Tracer& tracer() noexcept {
   static Tracer instance;
@@ -201,6 +228,68 @@ void Span::note(std::string_view text) {
   if (!ref_) return;
   if (!note_.empty()) note_ += ',';
   note_ += text;
+}
+
+Status apply_trace_ctl(Tracer& tracer, std::string_view line) {
+  struct Pending {
+    bool start = false, stop = false, clear = false;
+    std::optional<std::uint32_t> sample_every;
+    std::optional<std::size_t> capacity;
+    std::optional<std::uint64_t> trigger_ns;
+  } pending;
+  std::string normalized(line);
+  for (char& c : normalized)
+    if (c == '\n' || c == '\r' || c == '\t') c = ' ';
+  for (const auto& raw : split_nonempty(normalized, ' ')) {
+    std::string_view token = trim(raw);
+    if (token.empty()) continue;
+    if (token == "start") {
+      pending.start = true;
+    } else if (token == "stop") {
+      pending.stop = true;
+    } else if (token == "clear") {
+      pending.clear = true;
+    } else if (token.rfind("sample_every=", 0) == 0) {
+      auto n = parse_u64(token.substr(13));
+      if (!n || *n == 0 || *n > UINT32_MAX)
+        return make_error_code(Errc::invalid_argument);
+      pending.sample_every = static_cast<std::uint32_t>(*n);
+    } else if (token.rfind("capacity=", 0) == 0) {
+      auto n = parse_u64(token.substr(9));
+      if (!n || *n == 0 || *n > (1u << 24))
+        return make_error_code(Errc::invalid_argument);
+      pending.capacity = static_cast<std::size_t>(*n);
+    } else if (token == "trigger=off") {
+      pending.trigger_ns = 0;
+    } else if (token.rfind("trigger=dur_ns>", 0) == 0) {
+      auto ns = parse_duration_ns(token.substr(15));
+      if (!ns) return make_error_code(Errc::invalid_argument);
+      pending.trigger_ns = *ns;
+    } else {
+      return make_error_code(Errc::invalid_argument);
+    }
+  }
+  if (pending.start && pending.stop)
+    return make_error_code(Errc::invalid_argument);
+
+  if (pending.clear) tracer.clear();
+  if (pending.capacity) tracer.set_capacity(*pending.capacity);
+  if (pending.sample_every) tracer.set_sample_every(*pending.sample_every);
+  if (pending.trigger_ns) tracer.set_trigger_ns(*pending.trigger_ns);
+  if (pending.stop) tracer.stop();
+  if (pending.start) tracer.start();
+  return ok_status();
+}
+
+std::string render_trace_status(const Tracer& tracer) {
+  std::string out;
+  out += "enabled " + std::to_string(tracer.enabled() ? 1 : 0) + "\n";
+  out += "sample_every " + std::to_string(tracer.sample_every()) + "\n";
+  out += "trigger_ns " + std::to_string(tracer.trigger_ns()) + "\n";
+  out += "capacity " + std::to_string(tracer.ring().capacity()) + "\n";
+  out += "events " + std::to_string(tracer.ring().size()) + "\n";
+  out += "inflight " + std::to_string(tracer.inflight()) + "\n";
+  return out;
 }
 
 }  // namespace yanc::obs

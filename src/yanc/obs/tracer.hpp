@@ -45,6 +45,7 @@
 #include "yanc/dbg/lockdep.hpp"
 #include "yanc/obs/metrics.hpp"
 #include "yanc/obs/trace.hpp"
+#include "yanc/util/result.hpp"
 
 namespace yanc::obs {
 
@@ -95,7 +96,7 @@ class Tracer {
  public:
   explicit Tracer(std::size_t capacity = 4096) : ring_(capacity) {}
 
-  // --- capture control (driven by TraceFs's ctl file) ---------------------
+  // --- capture control (driven by apply_trace_ctl) -------------------------
   void start() { enabled_.store(true, std::memory_order_relaxed); }
   void stop() { enabled_.store(false, std::memory_order_relaxed); }
   bool enabled() const noexcept {
@@ -250,5 +251,21 @@ class Span {
   std::string name_;
   std::string note_;
 };
+
+/// The capture-control grammar apply_trace_ctl accepts; reading
+/// `/yanc/.trace/ctl` shows it.
+inline constexpr std::string_view kTraceCtlGrammar =
+    "# start | stop | clear | sample_every=N | capacity=N |"
+    " trigger=dur_ns>DUR | trigger=off\n";
+
+/// Applies one ctl line (whitespace-separated kTraceCtlGrammar tokens,
+/// DUR = digits with an optional ns/us/ms/s suffix) to `tracer`.  Every
+/// token is parsed before any applies: an invalid line fails with
+/// invalid_argument and changes nothing.
+Status apply_trace_ctl(Tracer& tracer, std::string_view line);
+
+/// What is in force (enabled, sample_every, trigger_ns, capacity) plus the
+/// ring's event count and the in-flight handoffs, one "key value" a line.
+std::string render_trace_status(const Tracer& tracer);
 
 }  // namespace yanc::obs

@@ -547,6 +547,11 @@ Status Vfs::remove_all(std::string_view path, const Credentials& creds,
   auto st = lstat(path, creds, root);
   if (!st) return st.error();
   if (st->is_dir()) {
+    // rmdir first: a schema object (a flow, a switch) is removed whole by
+    // its file system, and its fixed subdirectories (a flow's counters/)
+    // refuse removal one by one.  Recurse only into a plain non-empty dir.
+    auto removed = rmdir(path, creds, root);
+    if (removed != make_error_code(Errc::not_empty)) return removed;
     auto entries = readdir(path, creds, root);
     if (!entries) return entries.error();
     for (const auto& entry : *entries) {

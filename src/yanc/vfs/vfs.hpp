@@ -112,7 +112,8 @@ class Vfs {
                 const std::string& root = "/");
   [[nodiscard]] Status rmdir(std::string_view path, const Credentials& creds = {},
                const std::string& root = "/");
-  /// rm -r: recursive removal (used by tests and the shell's `rm -r`).
+  /// rm -r: recursive removal (used by tests and the shell's `rm`).  A
+  /// directory its file system can rmdir whole is removed in one step.
   [[nodiscard]] Status remove_all(std::string_view path, const Credentials& creds = {},
                     const std::string& root = "/");
   [[nodiscard]] Status rename(std::string_view from, std::string_view to,
@@ -171,7 +172,7 @@ class Vfs {
   void reset_counters();
 
   /// The metrics registry every subsystem working over this Vfs shares
-  /// (never null).  StatsFs materializes it at /yanc/.stats; drivers,
+  /// (never null).  mount_stats_fs serves it at /yanc/.stats; drivers,
   /// netfs and the distributed layer register their own handles here.
   const std::shared_ptr<obs::Registry>& metrics() const noexcept {
     return metrics_;

@@ -191,6 +191,22 @@ TEST_P(DriverTest, RmdirDeletesHardwareFlow) {
   EXPECT_EQ(s->table().size(), 0u);
 }
 
+// `rm` in yancsh is remove_all: on a committed flow it must remove the
+// schema object whole (its fixed counters/ dir is not removable alone).
+TEST_P(DriverTest, RemoveAllDeletesHardwareFlow) {
+  auto s = make_switch(0x42);
+  settle({s.get()});
+  FlowSpec spec;
+  spec.actions = {Action::output(1)};
+  ASSERT_FALSE(net().switch_at("sw1").add_flow("f", spec));
+  settle({s.get()});
+  ASSERT_EQ(s->table().size(), 1u);
+  ASSERT_FALSE(vfs->remove_all("/net/switches/sw1/flows/f"));
+  settle({s.get()});
+  EXPECT_FALSE(vfs->stat("/net/switches/sw1/flows/f").ok());
+  EXPECT_EQ(s->table().size(), 0u);
+}
+
 TEST_P(DriverTest, PacketInLandsInEveryEventBuffer) {
   auto s = make_switch(0x42);
   settle({s.get()});
@@ -956,6 +972,59 @@ TEST(DriverFaultMatrix, ReconnectResyncUnderLossTenSeeds) {
     obs::tracer().stop();
     obs::tracer().clear();
   }
+}
+
+// An audit compares the hardware with what had been sent when its request
+// left, so commits and deletes still on the wire are not drift: on a
+// fault-free link, auditing every other poll repairs nothing and sends
+// exactly one FLOW_MOD per add and per delete.
+TEST(DriverAudit, InFlightFlowsAreNotRepaired) {
+  auto vfs = std::make_shared<vfs::Vfs>();
+  ASSERT_TRUE(netfs::mount_yanc_fs(*vfs).ok());
+  net::Scheduler scheduler;
+  net::Network network(scheduler);
+  DriverOptions opts;
+  opts.audit_interval = 2;
+  OfDriver driver(vfs, opts);
+  sw::SwitchOptions sopts;
+  sopts.datapath_id = 0x42;
+  sw::Switch s("dp", sopts, network);
+  s.add_port(1, MacAddress::from_u64(1), "eth1");
+  s.connect(driver.listener().connect());
+  auto round = [&] {
+    driver.poll();
+    s.pump();
+    scheduler.run_until_idle();
+  };
+  for (int i = 0; i < 30; ++i) round();
+  auto& reg = *vfs->metrics();
+  auto* audits = reg.counter("driver/of/audit_total");
+  auto* repairs = reg.counter("driver/of/audit_repair_total");
+  auto* mods = reg.counter("driver/of/flow_mod_total");
+  const auto audits0 = audits->value();
+  const auto repairs0 = repairs->value();
+  const auto mods0 = mods->value();
+
+  constexpr std::uint64_t kFlows = 400;
+  netfs::NetDir net(vfs);
+  for (std::uint64_t i = 0; i < kFlows; ++i) {
+    FlowSpec spec;
+    spec.match.tp_dst = static_cast<std::uint16_t>(1000 + i);
+    spec.actions = {Action::output(1)};
+    ASSERT_FALSE(
+        net.switch_at("sw1").add_flow("f" + std::to_string(i), spec));
+    round();
+  }
+  for (std::uint64_t i = 0; i < kFlows; ++i) {
+    ASSERT_FALSE(net.switch_at("sw1").remove_flow("f" + std::to_string(i)));
+    round();
+  }
+  for (int i = 0; i < 30; ++i) round();
+
+  EXPECT_EQ(s.table().size(), 0u);
+  EXPECT_GT(audits->value() - audits0, kFlows / 2);
+  EXPECT_EQ(repairs->value() - repairs0, 0u);
+  EXPECT_EQ(mods->value() - mods0, 2 * kFlows);
 }
 
 TEST(DriverVersionMismatch, WrongDialectClosed) {

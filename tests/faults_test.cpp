@@ -4,7 +4,6 @@
 #include <gtest/gtest.h>
 
 #include "yanc/dist/transport.hpp"
-#include "yanc/faults/faults_fs.hpp"
 #include "yanc/faults/injector.hpp"
 #include "yanc/obs/metrics.hpp"
 #include "yanc/util/rng.hpp"
@@ -336,6 +335,33 @@ TEST_F(FaultsFsTest, InvalidPolicyRejectedOldPlanSurvives) {
   auto ec = vfs->write_file("/yanc/.faults/channel/policy", "drop=7");
   EXPECT_EQ(ec, make_error_code(Errc::invalid_argument));
   EXPECT_DOUBLE_EQ(injector->plan(Scope::channel).drop, 0.25);
+}
+
+TEST_F(FaultsFsTest, OnlyAppliedWritesEmitModified) {
+  auto file = std::make_shared<vfs::WatchQueue>();
+  auto dir = std::make_shared<vfs::WatchQueue>();
+  auto file_watch = vfs->watch("/yanc/.faults/channel/policy",
+                               vfs::event::modified, file);
+  auto dir_watch =
+      vfs->watch("/yanc/.faults/channel", vfs::event::modified, dir);
+  ASSERT_TRUE(file_watch.ok());
+  ASSERT_TRUE(dir_watch.ok());
+
+  ASSERT_FALSE(
+      vfs->write_file("/yanc/.faults/channel/policy", "drop=0.25"));
+  auto on_file = file->drain();
+  ASSERT_EQ(on_file.size(), 1u);
+  EXPECT_TRUE(on_file[0].is(vfs::event::modified));
+  auto on_dir = dir->drain();
+  ASSERT_EQ(on_dir.size(), 1u);
+  EXPECT_TRUE(on_dir[0].is(vfs::event::modified));
+  EXPECT_EQ(on_dir[0].name, "policy");
+
+  // A rejected write changes nothing, so it tells no one.
+  EXPECT_EQ(vfs->write_file("/yanc/.faults/channel/policy", "drop=7"),
+            make_error_code(Errc::invalid_argument));
+  EXPECT_EQ(file->size(), 0u);
+  EXPECT_EQ(dir->size(), 0u);
 }
 
 TEST_F(FaultsFsTest, SeedWriteReseeds) {

@@ -2,7 +2,6 @@
 // (the slicer's core operation), and action parsing/formatting.
 #include <gtest/gtest.h>
 
-#include "yanc/flow/builder.hpp"
 #include "yanc/flow/flowspec.hpp"
 
 namespace yanc::flow {
@@ -185,36 +184,6 @@ TEST(FlowSpec, ToStringReadable) {
             "prio=10 match=[tp_dst=22] actions=[out:2] idle=5");
   FlowSpec drop;
   EXPECT_EQ(drop.to_string(), "prio=32768 match=[*] actions=[drop]");
-}
-
-TEST(FlowBuilder, FluentAssembly) {
-  auto spec = FlowBuilder()
-                  .dl_type(0x0800)
-                  .nw_proto(6)
-                  .tp_dst(22)
-                  .set_dl_dst(*MacAddress::parse("02:00:00:00:00:09"))
-                  .output(2)
-                  .priority(100)
-                  .idle_timeout(30)
-                  .build();
-  EXPECT_EQ(spec.match.dl_type, 0x0800);
-  EXPECT_EQ(spec.match.tp_dst, 22);
-  ASSERT_EQ(spec.actions.size(), 2u);
-  EXPECT_EQ(spec.actions[0].kind, ActionKind::set_dl_dst);
-  EXPECT_EQ(spec.actions[1].port(), 2);
-  EXPECT_EQ(spec.priority, 100);
-  EXPECT_EQ(spec.idle_timeout, 30);
-}
-
-TEST(FlowBuilder, DropClearsActions) {
-  auto spec = FlowBuilder().output(1).flood().drop().build();
-  EXPECT_TRUE(spec.actions.empty());
-}
-
-TEST(FlowBuilder, MultiTable13) {
-  auto spec = FlowBuilder().table(1).goto_table(2).output(3).build();
-  EXPECT_EQ(spec.table_id, 1);
-  EXPECT_EQ(spec.goto_table, 2);
 }
 
 TEST(FlowSpec, ActionsToString) {

@@ -18,11 +18,11 @@
 #include "yanc/driver/of_driver.hpp"
 #include "yanc/net/packet.hpp"
 #include "yanc/netfs/yancfs.hpp"
-#include "yanc/obs/stats_fs.hpp"
 #include "yanc/shell/coreutils.hpp"
 #include "yanc/sw/switch.hpp"
 #include "yanc/topo/discovery.hpp"
 #include "yanc/util/strings.hpp"
+#include "yanc/vfs/synth_fs.hpp"
 #include "yanc/view/slicer.hpp"
 
 namespace yanc {
@@ -207,7 +207,7 @@ TEST_F(Fig1Architecture, PermissionsProtectSwitchesAndFlows) {
 // the counters back with the same shell coreutils an administrator would
 // use.  Counters must only ever go up.
 TEST_F(Fig1Architecture, StatsSubtreeObservesLiveTraffic) {
-  auto stats = obs::mount_stats_fs(*vfs);
+  auto stats = vfs::mount_stats_fs(*vfs);
   ASSERT_TRUE(stats.ok());
   auto* s1 = add_switch(1);
   settle();

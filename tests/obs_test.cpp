@@ -1,5 +1,5 @@
 // Tests for yanc::obs: the metrics registry, histogram percentile math,
-// the trace ring, and the /yanc/.stats procfs-style subtree — including
+// the trace ring, and the /yanc/.stats and /yanc/.trace trees — including
 // reading it through the shell coreutils, exactly how an administrator
 // would (paper §5.4 applied to the controller's own telemetry).
 #include <gtest/gtest.h>
@@ -7,13 +7,12 @@
 #include "yanc/dist/replicated.hpp"
 #include "yanc/driver/of_driver.hpp"
 #include "yanc/netfs/yancfs.hpp"
-#include "yanc/obs/stats_fs.hpp"
 #include "yanc/obs/trace.hpp"
-#include "yanc/obs/trace_fs.hpp"
 #include "yanc/obs/tracer.hpp"
 #include "yanc/shell/coreutils.hpp"
 #include "yanc/sw/switch.hpp"
 #include "yanc/util/strings.hpp"
+#include "yanc/vfs/synth_fs.hpp"
 
 namespace yanc::obs {
 namespace {
@@ -329,14 +328,12 @@ TEST(TracerTest, ClearDropsRingAndInflightEntries) {
   EXPECT_GT(next.trace_id, ref.trace_id);
 }
 
-// --- TraceFs ------------------------------------------------------------
+// --- /yanc/.trace ------------------------------------------------------
 
 class TraceFsTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    ASSERT_FALSE(vfs->mkdir_p("/yanc/.trace", 0555, vfs::Credentials::root()));
-    ASSERT_FALSE(
-        vfs->mount("/yanc/.trace", std::make_shared<TraceFs>(&tracer)));
+    ASSERT_TRUE(vfs::mount_trace_fs(*vfs, &tracer).ok());
   }
   Status ctl(std::string_view line) {
     return vfs->write_file("/yanc/.trace/ctl", line);
@@ -371,6 +368,8 @@ TEST_F(TraceFsTest, CtlParsesThenAppliesSoBadLinesChangeNothing) {
             make_error_code(Errc::invalid_argument));
   EXPECT_EQ(ctl("start stop"), make_error_code(Errc::invalid_argument));
   EXPECT_EQ(ctl("trigger=dur_ns>fast"),
+            make_error_code(Errc::invalid_argument));
+  EXPECT_EQ(ctl("trigger=dur_ns>18446744073709551s"),  // overflows u64 ns
             make_error_code(Errc::invalid_argument));
   EXPECT_TRUE(tracer.enabled());
   EXPECT_EQ(tracer.sample_every(), 4u);
@@ -441,11 +440,11 @@ TEST_F(TraceFsTest, ClearResetsCaptureAndByIdNamespace) {
   EXPECT_NE(status().find("events 0"), std::string::npos);
 }
 
-// --- StatsFs ------------------------------------------------------------
+// --- /yanc/.stats ------------------------------------------------------
 
 TEST(StatsFsTest, MaterializesRegistryAsTree) {
   auto vfs = std::make_shared<vfs::Vfs>();
-  auto mounted = mount_stats_fs(*vfs);
+  auto mounted = vfs::mount_stats_fs(*vfs);
   ASSERT_TRUE(mounted.ok());
 
   // The Vfs registered its own metrics at construction; they must be
@@ -461,7 +460,7 @@ TEST(StatsFsTest, MaterializesRegistryAsTree) {
 
 TEST(StatsFsTest, CountersReadThroughShellAndIncreaseMonotonically) {
   auto vfs = std::make_shared<vfs::Vfs>();
-  ASSERT_TRUE(mount_stats_fs(*vfs).ok());
+  ASSERT_TRUE(vfs::mount_stats_fs(*vfs).ok());
 
   auto read_counter = [&](const std::string& path) {
     auto text = shell::cat(*vfs, path);
@@ -484,10 +483,13 @@ TEST(StatsFsTest, CountersReadThroughShellAndIncreaseMonotonically) {
 
 TEST(StatsFsTest, IsReadOnly) {
   auto vfs = std::make_shared<vfs::Vfs>();
-  ASSERT_TRUE(mount_stats_fs(*vfs).ok());
-  EXPECT_TRUE(vfs->write_file("/yanc/.stats/vfs/lookup_total", "0"));
-  EXPECT_TRUE(vfs->mkdir("/yanc/.stats/mine"));
-  EXPECT_TRUE(vfs->unlink("/yanc/.stats/vfs/lookup_total"));
+  ASSERT_TRUE(vfs::mount_stats_fs(*vfs).ok());
+  EXPECT_EQ(vfs->write_file("/yanc/.stats/vfs/lookup_total", "0"),
+            make_error_code(Errc::access_denied));
+  EXPECT_EQ(vfs->mkdir("/yanc/.stats/mine"),
+            make_error_code(Errc::not_permitted));
+  EXPECT_EQ(vfs->unlink("/yanc/.stats/vfs/lookup_total"),
+            make_error_code(Errc::not_permitted));
   // ...but stat and readdir are world-accessible.
   vfs::Credentials nobody;
   nobody.uid = 1000;
@@ -497,7 +499,7 @@ TEST(StatsFsTest, IsReadOnly) {
 
 TEST(StatsFsTest, NewMetricsAppearWithoutRemount) {
   auto vfs = std::make_shared<vfs::Vfs>();
-  ASSERT_TRUE(mount_stats_fs(*vfs).ok());
+  ASSERT_TRUE(vfs::mount_stats_fs(*vfs).ok());
   EXPECT_FALSE(vfs->stat("/yanc/.stats/apps/route_total").ok());
   vfs->metrics()->counter("apps/route_total")->add(3);
   auto text = shell::cat(*vfs, "/yanc/.stats/apps/route_total");
@@ -507,7 +509,7 @@ TEST(StatsFsTest, NewMetricsAppearWithoutRemount) {
 
 TEST(StatsFsTest, RefreshEmitsModifiedEventsForWatchers) {
   auto vfs = std::make_shared<vfs::Vfs>();
-  auto mounted = mount_stats_fs(*vfs);
+  auto mounted = vfs::mount_stats_fs(*vfs);
   ASSERT_TRUE(mounted.ok());
   auto stats = *mounted;
 
@@ -531,14 +533,16 @@ TEST(StatsFsTest, RefreshEmitsModifiedEventsForWatchers) {
 
 TEST(StatsFsTest, LockEdgeGraphExposedAsFile) {
   auto vfs = std::make_shared<vfs::Vfs>();
-  ASSERT_TRUE(mount_stats_fs(*vfs).ok());
+  ASSERT_TRUE(vfs::mount_stats_fs(*vfs).ok());
   auto text = shell::cat(*vfs, "/yanc/.stats/dbg/lock_edges");
   ASSERT_TRUE(text.ok());
 #if YANC_DBG_LOCKS
-  // Mounting alone nests stats_fs over obs_metrics (metric values are
-  // read under the tree lock), so the dump already contains that edge,
+  // Mounting alone creates the mount point, and MemFs takes its emit order
+  // lock under its namespace lock, so the dump already contains that edge,
   // in the "<held> <acquired> <site> <site>" format yanc-analyze diffs.
-  EXPECT_NE(text->find("stats_fs obs_metrics "), std::string::npos);
+  EXPECT_NE(text->find("vfs_namespace vfs_emit "), std::string::npos);
+  // The tree's own lock is a leaf: callbacks run after it is dropped.
+  EXPECT_EQ(("\n" + *text).find("\nsynth_fs "), std::string::npos);
 #else
   EXPECT_TRUE(text->empty());  // release builds record no graph
 #endif
@@ -549,7 +553,7 @@ TEST(StatsFsTest, LockEdgeGraphExposedAsFile) {
 TEST(ObsIntegrationTest, NetfsValidationMetrics) {
   auto vfs = std::make_shared<vfs::Vfs>();
   ASSERT_TRUE(netfs::mount_yanc_fs(*vfs).ok());
-  ASSERT_TRUE(mount_stats_fs(*vfs).ok());
+  ASSERT_TRUE(vfs::mount_stats_fs(*vfs).ok());
   ASSERT_FALSE(vfs->mkdir("/net/switches/sw1"));
 
   auto& reg = *vfs->metrics();

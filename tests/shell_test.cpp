@@ -4,8 +4,8 @@
 
 #include "yanc/netfs/handles.hpp"
 #include "yanc/netfs/yancfs.hpp"
-#include "yanc/obs/trace_fs.hpp"
 #include "yanc/shell/coreutils.hpp"
+#include "yanc/vfs/synth_fs.hpp"
 
 namespace yanc::shell {
 namespace {
@@ -127,9 +127,7 @@ TEST_F(ShellTest, TraceShowReadsCapturedTraces) {
   ASSERT_TRUE(bool(root));
   std::uint64_t t0 = obs::Tracer::now_ns();
   (void)tracer.child(root, "driver", "commit", t0, t0 + 1000, 250);
-  ASSERT_FALSE(vfs->mkdir_p("/yanc/.trace", 0555, vfs::Credentials::root()));
-  ASSERT_FALSE(
-      vfs->mount("/yanc/.trace", std::make_shared<obs::TraceFs>(&tracer)));
+  ASSERT_TRUE(vfs::mount_trace_fs(*vfs, &tracer).ok());
 
   // A captured trace id resolves directly to its span tree.
   auto by_id = trace_show(*vfs, std::to_string(root.trace_id));

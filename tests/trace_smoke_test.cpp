@@ -9,9 +9,9 @@
 #include "yanc/apps/learning_switch.hpp"
 #include "yanc/driver/of_driver.hpp"
 #include "yanc/netfs/yancfs.hpp"
-#include "yanc/obs/trace_fs.hpp"
 #include "yanc/obs/tracer.hpp"
 #include "yanc/sw/switch.hpp"
+#include "yanc/vfs/synth_fs.hpp"
 
 namespace yanc::apps {
 namespace {
@@ -25,7 +25,7 @@ class TraceSmoke : public ::testing::Test {
 
   void SetUp() override {
     ASSERT_TRUE(netfs::mount_yanc_fs(*vfs).ok());
-    auto trace_fs = obs::mount_trace_fs(*vfs);
+    auto trace_fs = vfs::mount_trace_fs(*vfs);
     ASSERT_TRUE(trace_fs.ok());
     driver = std::make_unique<driver::OfDriver>(vfs);
     obs::tracer().stop();

@@ -10,6 +10,7 @@
 #include "yanc/obs/metrics.hpp"
 #include "yanc/obs/tracer.hpp"
 #include "yanc/vfs/memfs.hpp"
+#include "yanc/vfs/synth_fs.hpp"
 #include "yanc/vfs/vfs.hpp"
 
 namespace yanc::vfs {
@@ -1280,6 +1281,39 @@ TEST_F(NamespaceTest, CarriesCredentials) {
   ASSERT_FALSE(vfs->chown("/net/views/v1/inside", 0, 0));
   Namespace ns(vfs, "/net/views/v1", alice());
   EXPECT_EQ(ns.read_file("/inside").error(), err(Errc::access_denied));
+}
+
+// SynthFs runs its callbacks with its lock dropped.  Lookups that grow the
+// tree from the registry, reads, refreshes and readdirs on four threads
+// must not race (scripts/sanitize.sh runs this suite under TSan), and the
+// tree must end with every metric registered.
+TEST(SynthFs, ConcurrentGrowthReadsAndRefreshes) {
+  auto vfs = std::make_shared<Vfs>();
+  auto stats = mount_stats_fs(*vfs);
+  ASSERT_TRUE(stats.ok());
+  constexpr int kMetrics = 200;
+  std::atomic<bool> read_failed{false};
+  std::vector<std::thread> threads;
+  threads.emplace_back([&] {
+    for (int i = 0; i < kMetrics; ++i)
+      vfs->metrics()->counter("grow/c" + std::to_string(i))->add();
+  });
+  threads.emplace_back([&] {
+    for (int i = 0; i < kMetrics; ++i) (*stats)->refresh();
+  });
+  for (int t = 0; t < 2; ++t)
+    threads.emplace_back([&] {
+      for (int i = 0; i < kMetrics; ++i) {
+        if (!vfs->read_file("/yanc/.stats/vfs/lookup_total").ok())
+          read_failed = true;
+        (void)vfs->readdir("/yanc/.stats/grow");
+      }
+    });
+  for (auto& t : threads) t.join();
+  EXPECT_FALSE(read_failed);
+  auto grown = vfs->readdir("/yanc/.stats/grow");
+  ASSERT_TRUE(grown.ok());
+  EXPECT_EQ(grown->size(), static_cast<std::size_t>(kMetrics));
 }
 
 }  // namespace
