@@ -5,6 +5,7 @@
 // single virtual switch for a second tenant.
 //
 // Usage: ./build/examples/sliced_network
+// Exits non-zero when what it prints does not hold.
 #include <cstdio>
 
 #include "yanc/driver/of_driver.hpp"
@@ -82,10 +83,19 @@ int main() {
 
   auto installed = netfs::read_flow(*vfs,
                                     "/net/switches/sw1/flows/view_ssh-tenant__mine");
+  if (!installed) {
+    std::printf("FAIL: the tenant's flow never reached the master view\n");
+    return 1;
+  }
   std::printf("\n== what actually reached the master view:\n   %s\n",
               installed->to_string().c_str());
+  const auto& sw1_table = switches[0]->table();
   std::printf("   hardware entries on sw1: %zu (confined to tp_dst=22)\n",
-              switches[0]->table().size());
+              sw1_table.size());
+  if (sw1_table.size() != 1 || sw1_table.entries()[0].spec.match.tp_dst != 22) {
+    std::printf("FAIL: sw1's hardware does not hold the confined flow\n");
+    return 1;
+  }
 
   // --- tenant B: the whole fabric as one big switch -----------------------
   view::BigSwitchConfig big_cfg;
@@ -109,5 +119,11 @@ int main() {
   for (const auto& s : switches)
     std::printf("   %s: %zu hardware flows\n", s->name().c_str(),
                 s->table().size());
+  // sw1 keeps tenant A's flow and gains the ingress hop; sw2 the egress.
+  if (big.compiled_flows() != 1 || switches[0]->table().size() != 2 ||
+      switches[1]->table().size() != 1) {
+    std::printf("FAIL: the virtual flow did not compile to one entry per hop\n");
+    return 1;
+  }
   return 0;
 }

@@ -7,16 +7,11 @@ namespace yanc::apps {
 
 ArpResponder::ArpResponder(std::shared_ptr<vfs::Vfs> vfs,
                            ArpResponderOptions options)
-    : vfs_(std::move(vfs)), options_(std::move(options)) {}
+    : vfs_(std::move(vfs)), options_(std::move(options)),
+      events_(vfs_, options_.net_root + "/events/" + options_.app_name, {}) {}
 
 Result<std::size_t> ArpResponder::poll() {
-  if (!events_) {
-    netfs::NetDir net(vfs_, options_.net_root);
-    auto buf = net.open_events(options_.app_name);
-    if (!buf) return buf.error();
-    events_ = *buf;
-  }
-  auto pending = events_->drain();
+  auto pending = events_.drain();
   if (!pending) return pending.error();
 
   // The registry is hosts/ itself: every host with a mac and ip file is
@@ -51,15 +46,14 @@ Result<std::size_t> ArpResponder::poll() {
                                 parsed->arp->sender_mac,
                                 parsed->arp->sender_ip);
     // Answer out of the port the request came in on.
-    std::string dir = options_.net_root + "/switches/" + pkt.datapath +
-                      "/packet_out/arp_" + std::to_string(next_out_++);
-    if (vfs_->mkdir(dir)) continue;
-    (void)vfs_->write_file(dir + "/out", std::to_string(pkt.in_port));
-    (void)vfs_->write_file(
-        dir + "/data",
-        std::string_view(reinterpret_cast<const char*>(reply.data()),
-                         reply.size()));
-    (void)vfs_->write_file(dir + "/send", "1");
+    netfs::PacketOutRequest req;
+    req.out = std::to_string(pkt.in_port);
+    req.data.assign(reply.begin(), reply.end());
+    if (netfs::write_packet_out(*vfs_,
+                                options_.net_root + "/switches/" +
+                                    pkt.datapath,
+                                "arp_" + std::to_string(next_out_++), req))
+      continue;
     ++replies_;
     ++handled;
   }

@@ -5,7 +5,6 @@
 
 #include <map>
 #include <memory>
-#include <optional>
 #include <string>
 
 #include "yanc/netfs/handles.hpp"
@@ -30,7 +29,7 @@ class ArpResponder {
  private:
   std::shared_ptr<vfs::Vfs> vfs_;
   ArpResponderOptions options_;
-  std::optional<netfs::EventBufferHandle> events_;
+  netfs::EventBufferHandle events_;  // subscribed by the first drain
   std::uint64_t next_out_ = 1;
   std::uint64_t replies_ = 0;
 };

@@ -72,7 +72,8 @@ Result<DhcpMessage> decode_dhcp(std::span<const std::uint8_t> payload) {
 
 DhcpServer::DhcpServer(std::shared_ptr<vfs::Vfs> vfs,
                        DhcpServerOptions options)
-    : vfs_(std::move(vfs)), options_(std::move(options)) {}
+    : vfs_(std::move(vfs)), options_(std::move(options)),
+      events_(vfs_, options_.net_root + "/events/" + options_.app_name, {}) {}
 
 Result<Ipv4Address> DhcpServer::lease_for(const MacAddress& mac) {
   auto existing = leases_.find(mac.to_u64());
@@ -84,13 +85,7 @@ Result<Ipv4Address> DhcpServer::lease_for(const MacAddress& mac) {
 }
 
 Result<std::size_t> DhcpServer::poll() {
-  if (!events_) {
-    netfs::NetDir net(vfs_, options_.net_root);
-    auto buf = net.open_events(options_.app_name);
-    if (!buf) return buf.error();
-    events_ = *buf;
-  }
-  auto pending = events_->drain();
+  auto pending = events_.drain();
   if (!pending) return pending.error();
   std::size_t handled = 0;
 
@@ -141,15 +136,12 @@ Status DhcpServer::reply(const netfs::PacketInInfo& pkt,
   auto frame = net::build_udp(request.chaddr, options_.server_mac,
                               options_.server_ip, addr, 67, 68, payload);
 
-  std::string dir = options_.net_root + "/switches/" + pkt.datapath +
-                    "/packet_out/dhcp_" + std::to_string(next_out_++);
-  if (auto ec = vfs_->mkdir(dir); ec) return ec;
-  (void)vfs_->write_file(dir + "/out", std::to_string(pkt.in_port));
-  (void)vfs_->write_file(
-      dir + "/data",
-      std::string_view(reinterpret_cast<const char*>(frame.data()),
-                       frame.size()));
-  return vfs_->write_file(dir + "/send", "1");
+  netfs::PacketOutRequest req;
+  req.out = std::to_string(pkt.in_port);
+  req.data.assign(frame.begin(), frame.end());
+  return netfs::write_packet_out(
+      *vfs_, options_.net_root + "/switches/" + pkt.datapath,
+      "dhcp_" + std::to_string(next_out_++), req);
 }
 
 Status DhcpServer::record_host(const MacAddress& mac, Ipv4Address ip) {

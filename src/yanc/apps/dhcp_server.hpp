@@ -70,7 +70,7 @@ class DhcpServer {
 
   std::shared_ptr<vfs::Vfs> vfs_;
   DhcpServerOptions options_;
-  std::optional<netfs::EventBufferHandle> events_;
+  netfs::EventBufferHandle events_;  // subscribed by the first drain
   std::map<std::uint64_t, Ipv4Address> leases_;  // mac -> ip
   std::uint32_t next_offset_ = 0;
   std::uint64_t next_out_ = 1;

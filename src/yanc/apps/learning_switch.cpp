@@ -11,7 +11,8 @@ using flow::FlowSpec;
 
 LearningSwitch::LearningSwitch(std::shared_ptr<vfs::Vfs> vfs,
                                LearningSwitchOptions options)
-    : vfs_(std::move(vfs)), options_(std::move(options)) {}
+    : vfs_(std::move(vfs)), options_(std::move(options)),
+      events_(vfs_, options_.net_root + "/events/" + options_.app_name, {}) {}
 
 std::size_t LearningSwitch::table_size() const {
   std::size_t n = 0;
@@ -20,13 +21,7 @@ std::size_t LearningSwitch::table_size() const {
 }
 
 Result<std::size_t> LearningSwitch::poll() {
-  if (!events_) {
-    netfs::NetDir net(vfs_, options_.net_root);
-    auto buf = net.open_events(options_.app_name);
-    if (!buf) return buf.error();
-    events_ = *buf;
-  }
-  auto pending = events_->drain();
+  auto pending = events_.drain();
   if (!pending) return pending.error();
   std::size_t handled = 0;
 
@@ -45,13 +40,13 @@ Result<std::size_t> LearningSwitch::poll() {
       table[parsed->dl_src.to_u64()] = pkt.in_port;
 
     if (parsed->dl_dst.is_broadcast() || parsed->dl_dst.is_multicast()) {
-      (void)flood(pkt.datapath, pkt.in_port, pkt.data);
+      (void)flood(pkt);
       ++handled;
       continue;
     }
     auto known = table.find(parsed->dl_dst.to_u64());
     if (known == table.end()) {
-      (void)flood(pkt.datapath, pkt.in_port, pkt.data);
+      (void)flood(pkt);
       ++handled;
       continue;
     }
@@ -64,34 +59,24 @@ Result<std::size_t> LearningSwitch::poll() {
     std::string flow_dir = options_.net_root + "/switches/" + pkt.datapath +
                            "/flows/l2_" + std::to_string(next_flow_++);
     if (!netfs::write_flow(*vfs_, flow_dir, spec)) ++installed_;
-    (void)packet_out(pkt.datapath, known->second, pkt.data);
+    (void)packet_out(pkt.datapath,
+                     {0, std::to_string(known->second), pkt.data});
     ++handled;
   }
   return handled;
 }
 
-Status LearningSwitch::flood(const std::string& datapath,
-                             std::uint16_t in_port, const std::string& data) {
+Status LearningSwitch::flood(const netfs::PacketInInfo& pkt) {
   ++floods_;
-  (void)in_port;  // the switch's flood action already excludes the ingress
-  std::string dir = options_.net_root + "/switches/" + datapath +
-                    "/packet_out/l2_" + std::to_string(next_out_++);
-  if (auto ec = vfs_->mkdir(dir); ec) return ec;
-  (void)vfs_->write_file(dir + "/in_port", std::to_string(in_port));
-  (void)vfs_->write_file(dir + "/out", "flood");
-  (void)vfs_->write_file(dir + "/data", data);
-  return vfs_->write_file(dir + "/send", "1");
+  // The switch's flood action already excludes the ingress port.
+  return packet_out(pkt.datapath, {pkt.in_port, "flood", pkt.data});
 }
 
 Status LearningSwitch::packet_out(const std::string& datapath,
-                                  std::uint16_t out_port,
-                                  const std::string& data) {
-  std::string dir = options_.net_root + "/switches/" + datapath +
-                    "/packet_out/l2_" + std::to_string(next_out_++);
-  if (auto ec = vfs_->mkdir(dir); ec) return ec;
-  (void)vfs_->write_file(dir + "/out", std::to_string(out_port));
-  (void)vfs_->write_file(dir + "/data", data);
-  return vfs_->write_file(dir + "/send", "1");
+                                  const netfs::PacketOutRequest& req) {
+  return netfs::write_packet_out(*vfs_,
+                                 options_.net_root + "/switches/" + datapath,
+                                 "l2_" + std::to_string(next_out_++), req);
 }
 
 }  // namespace yanc::apps

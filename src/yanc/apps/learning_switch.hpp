@@ -7,7 +7,6 @@
 
 #include <map>
 #include <memory>
-#include <optional>
 #include <string>
 
 #include "yanc/netfs/handles.hpp"
@@ -34,14 +33,13 @@ class LearningSwitch {
   std::size_t table_size() const;
 
  private:
-  Status flood(const std::string& datapath, std::uint16_t in_port,
-               const std::string& data);
-  Status packet_out(const std::string& datapath, std::uint16_t out_port,
-                    const std::string& data);
+  Status flood(const netfs::PacketInInfo& pkt);
+  Status packet_out(const std::string& datapath,
+                    const netfs::PacketOutRequest& req);
 
   std::shared_ptr<vfs::Vfs> vfs_;
   LearningSwitchOptions options_;
-  std::optional<netfs::EventBufferHandle> events_;
+  netfs::EventBufferHandle events_;  // subscribed by the first drain
   std::map<std::string, std::map<std::uint64_t, std::uint16_t>> tables_;
   std::uint64_t next_out_ = 1;
   std::uint64_t next_flow_ = 1;

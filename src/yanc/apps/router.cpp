@@ -12,16 +12,11 @@ using topo::PortRef;
 
 RouterDaemon::RouterDaemon(std::shared_ptr<vfs::Vfs> vfs,
                            RouterOptions options)
-    : vfs_(std::move(vfs)), options_(std::move(options)) {}
+    : vfs_(std::move(vfs)), options_(std::move(options)),
+      events_(vfs_, options_.net_root + "/events/" + options_.app_name, {}) {}
 
 Result<std::size_t> RouterDaemon::poll() {
-  if (!events_) {
-    netfs::NetDir net(vfs_, options_.net_root);
-    auto buf = net.open_events(options_.app_name);
-    if (!buf) return buf.error();
-    events_ = *buf;
-  }
-  auto pending = events_->drain();
+  auto pending = events_.drain();
   if (!pending) return pending.error();
   std::size_t handled = 0;
   for (const auto& pkt : *pending) {
@@ -183,14 +178,9 @@ Status RouterDaemon::flood_edges(const topo::Graph& graph,
 
 Status RouterDaemon::packet_out(const std::string& switch_name,
                                 std::uint16_t port, const std::string& data) {
-  std::string dir = options_.net_root + "/switches/" + switch_name +
-                    "/packet_out/rt_" + std::to_string(next_out_++);
-  if (auto ec = vfs_->mkdir(dir); ec) return ec;
-  if (auto ec = vfs_->write_file(dir + "/out", std::to_string(port)); ec)
-    return ec;
-  if (!data.empty())
-    if (auto ec = vfs_->write_file(dir + "/data", data); ec) return ec;
-  return vfs_->write_file(dir + "/send", "1");
+  return netfs::write_packet_out(
+      *vfs_, options_.net_root + "/switches/" + switch_name,
+      "rt_" + std::to_string(next_out_++), {0, std::to_string(port), data});
 }
 
 }  // namespace yanc::apps

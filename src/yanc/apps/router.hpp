@@ -57,7 +57,7 @@ class RouterDaemon {
 
   std::shared_ptr<vfs::Vfs> vfs_;
   RouterOptions options_;
-  std::optional<netfs::EventBufferHandle> events_;
+  netfs::EventBufferHandle events_;  // subscribed by the first drain
   std::uint64_t next_out_ = 1;
   std::uint64_t next_flow_ = 1;
   std::uint64_t paths_ = 0;

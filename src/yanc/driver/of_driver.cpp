@@ -1,11 +1,12 @@
 #include "yanc/driver/of_driver.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <optional>
 #include <set>
 
+#include "yanc/netfs/packetio.hpp"
 #include "yanc/obs/tracer.hpp"
+#include "yanc/util/bytes.hpp"
 #include "yanc/util/log.hpp"
 #include "yanc/util/strings.hpp"
 
@@ -102,7 +103,6 @@ struct OfDriver::Connection {
   // Keeps non-flow watches alive: flows/, packet_out/, per-port config,
   // per-packet-out send files.  Keyed by watched path.
   std::map<std::string, std::shared_ptr<vfs::WatchHandle>> watches;
-  std::map<std::string, NodeId> watch_nodes;
   // Last configuration reported by the hardware, per port: (port_down,
   // no_flood).  PORT_MOD is only sent when the FS diverges from this, so
   // the driver's own PortStatus mirroring can never echo into a loop.
@@ -127,6 +127,34 @@ namespace {
 /// Watch events drained per batch; also the most FLOW_MODs packed into one
 /// wire buffer (a longer burst spans several buffers in one vectored send).
 constexpr std::size_t kMaxBatch = 256;
+
+/// OpenFlow's strict identity of a flow entry: match, priority and table.
+/// An add replaces the entry with the same identity; a strict delete,
+/// an expiry and a flow-stats entry name one by it.
+bool same_entry(const FlowSpec& spec, const flow::Match& match,
+                std::uint16_t priority, std::uint8_t table_id) {
+  return spec.match == match && spec.priority == priority &&
+         spec.table_id == table_id;
+}
+
+/// An EchoRequest stamped with its send time.  The switch echoes the
+/// payload verbatim, so reply time minus stamp is the round trip.
+ofp::EchoRequest echo_request() {
+  BufWriter w;
+  w.u64(obs::Tracer::now_ns());
+  return ofp::EchoRequest{w.take()};
+}
+
+/// The round trip an echo_request() payload measures; nullopt for any
+/// other payload.
+std::optional<std::uint64_t> echo_rtt_ns(
+    const std::vector<std::uint8_t>& data) {
+  if (data.size() != 8) return std::nullopt;
+  std::uint64_t sent = BufReader(data).u64();
+  std::uint64_t now = obs::Tracer::now_ns();
+  if (now < sent) return std::nullopt;
+  return now - sent;
+}
 
 /// Closes out a dead train's causal state: reclaims any wire handoff the
 /// switch never consumed and stamps `what` ("retry 2", "connection lost")
@@ -465,18 +493,8 @@ void OfDriver::handle_switch_message(Connection& conn,
     return;
   }
   if (auto* reply = std::get_if<ofp::EchoReply>(&m)) {
-    // ping_switches() stamps the request with the send time; the switch
-    // echoes it back verbatim, so reply time minus payload = RTT.
-    if (reply->data.size() == 8) {
-      std::uint64_t sent = 0;
-      for (int i = 0; i < 8; ++i)
-        sent |= static_cast<std::uint64_t>(reply->data[i]) << (8 * i);
-      auto now = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                     std::chrono::steady_clock::now().time_since_epoch())
-                     .count();
-      if (static_cast<std::uint64_t>(now) >= sent)
-        metrics_.echo_rtt_ns->record(static_cast<std::uint64_t>(now) - sent);
-    }
+    if (auto rtt = echo_rtt_ns(reply->data))
+      metrics_.echo_rtt_ns->record(*rtt);
     return;
   }
   if (auto* features = std::get_if<ofp::FeaturesReply>(&m)) {
@@ -688,13 +706,15 @@ void OfDriver::push_flow(Connection& conn, const std::string& flow_name,
   }
   if (spec->version == 0 || spec->version <= state.pushed_version)
     return;  // not committed / already on hardware (§3.4)
+  // OpenFlow 1.0 has one table: whatever table_id the files name, the
+  // switch reports the entry in table 0.
+  if (options_.version == ofp::Version::of10) spec->table_id = 0;
 
-  // If the identity (match, priority, table) changed, the old hardware
-  // entry must go first; OpenFlow add only replaces identical identities.
+  // If the identity changed, the old hardware entry must go first;
+  // OpenFlow add only replaces identical identities.
   if (state.pushed_version > 0 &&
-      (state.pushed.match != spec->match ||
-       state.pushed.priority != spec->priority ||
-       state.pushed.table_id != spec->table_id)) {
+      !same_entry(state.pushed, spec->match, spec->priority,
+                  spec->table_id)) {
     ofp::FlowMod del;
     del.command = ofp::FlowMod::Command::remove_strict;
     del.spec = state.pushed;
@@ -758,19 +778,13 @@ bool OfDriver::handle_aux_event(Connection& conn, const vfs::Event& event,
               WatchContext::Kind::pktout_send, &conn, event.name};
         }
         // The app may have set send=1 before this watch existed.
-        if (auto flag = vfs_->read_file(send_path);
-            flag && trim(*flag) == "1")
-          send_packet_out_dir(conn, event.name);
+        send_packet_out_dir(conn, event.name);
       }
       return true;
-    case WatchContext::Kind::pktout_send: {
-      if (!seen_level_triggered.insert(event.node).second) return true;
-      std::string send_path =
-          conn.path + "/packet_out/" + ctx.name + "/send";
-      if (auto flag = vfs_->read_file(send_path); flag && trim(*flag) == "1")
+    case WatchContext::Kind::pktout_send:
+      if (seen_level_triggered.insert(event.node).second)
         send_packet_out_dir(conn, ctx.name);
       return true;
-    }
   }
   return true;
 }
@@ -1009,15 +1023,7 @@ void OfDriver::service_timers() {
         tick_ - conn.last_recv_tick >= options_.keepalive_interval &&
         tick_ - conn.last_ping_tick >= options_.keepalive_interval) {
       conn.last_ping_tick = tick_;
-      auto now = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                     std::chrono::steady_clock::now().time_since_epoch())
-                     .count();
-      ofp::EchoRequest ping;
-      ping.data.resize(8);
-      for (int i = 0; i < 8; ++i)
-        ping.data[i] = static_cast<std::uint8_t>(
-            static_cast<std::uint64_t>(now) >> (8 * i));
-      send(conn, ping);
+      send(conn, echo_request());
     }
 
     // Tracked-request timeouts with bounded retries.
@@ -1134,9 +1140,8 @@ void OfDriver::audit_reconcile(Connection& conn, const ofp::StatsReply& sr) {
     bool found = false;
     for (std::size_t i = 0; i < hardware.size(); ++i) {
       if (claimed[i]) continue;
-      if (hardware[i]->match == sent.spec.match &&
-          hardware[i]->priority == sent.spec.priority &&
-          hardware[i]->table_id == sent.spec.table_id) {
+      if (same_entry(sent.spec, hardware[i]->match, hardware[i]->priority,
+                     hardware[i]->table_id)) {
         claimed[i] = found = true;
         break;
       }
@@ -1169,18 +1174,15 @@ void OfDriver::audit_reconcile(Connection& conn, const ofp::StatsReply& sr) {
 
 void OfDriver::send_packet_out_dir(Connection& conn, const std::string& name) {
   std::string dir = conn.path + "/packet_out/" + name;
+  auto req = netfs::read_packet_out(*vfs_, dir);
+  if (!req) return;  // send not set yet, or already consumed
   ofp::PacketOut po;
-  if (auto in = vfs_->read_file(dir + "/in_port"))
-    po.in_port =
-        static_cast<std::uint16_t>(parse_u64(trim(*in)).value_or(0));
-  if (auto out = vfs_->read_file(dir + "/out")) {
-    for (const auto& tok : split_nonempty(trim(*out), ' ')) {
-      auto action = flow::parse_action("out", tok);
-      if (action) po.actions.push_back(*action);
-    }
+  po.in_port = req->in_port;
+  for (const auto& tok : split_nonempty(req->out, ' ')) {
+    auto action = flow::parse_action("out", tok);
+    if (action) po.actions.push_back(*action);
   }
-  if (auto data = vfs_->read_file(dir + "/data"))
-    po.data.assign(data->begin(), data->end());
+  po.data.assign(req->data.begin(), req->data.end());
   send(conn, po);
   bump_counter(conn.path + "/counters/packet_outs");
 
@@ -1204,37 +1206,22 @@ void OfDriver::on_packet_in(Connection& conn, const ofp::PacketIn& pi,
                        handoff ? obs::Tracer::now_ns() - handoff.ts_ns : 0);
   obs::TraceScope trace_scope(trace_span.ref());
   bump_counter(conn.path + "/counters/packet_ins");
-  std::string events_dir = options_.net_root + "/events";
-  auto apps = vfs_->readdir(events_dir);
-  if (!apps) return;
   // Concurrent delivery to every interested application (§3.5): each app's
   // private buffer receives its own copy.
   char seq[24];
   std::snprintf(seq, sizeof seq, "pkt_%010llu",
                 static_cast<unsigned long long>(next_pkt_seq_++));
-  for (const auto& app : *apps) {
-    if (app.type != vfs::FileType::directory) continue;
-    std::string pkt_dir = events_dir + "/" + app.name + "/" + seq;
-    if (vfs_->mkdir(pkt_dir)) continue;
-    (void)vfs_->write_file(pkt_dir + "/datapath", conn.name);
-    (void)vfs_->write_file(pkt_dir + "/in_port",
-                           std::to_string(pi.in_port));
-    (void)vfs_->write_file(pkt_dir + "/reason",
-                           pi.reason == ofp::PacketIn::Reason::no_match
-                               ? "no_match"
-                               : "action");
-    (void)vfs_->write_file(pkt_dir + "/buffer_id",
-                           std::to_string(pi.buffer_id));
-    (void)vfs_->write_file(pkt_dir + "/total_len",
-                           std::to_string(pi.total_len));
-    (void)vfs_->write_file(
-        pkt_dir + "/data",
-        std::string_view(reinterpret_cast<const char*>(pi.data.data()),
-                         pi.data.size()));
-    // Each app drains its buffer on its own thread; hand the context over
-    // keyed by the pkt directory (the only identity that crosses).
-    obs::tracer().path_put(pkt_dir, trace_span.ref());
-  }
+  netfs::PacketInInfo info;
+  info.name = seq;
+  info.datapath = conn.name;
+  info.in_port = pi.in_port;
+  info.reason =
+      pi.reason == ofp::PacketIn::Reason::no_match ? "no_match" : "action";
+  info.buffer_id = pi.buffer_id;
+  info.total_len = pi.total_len;
+  info.data.assign(pi.data.begin(), pi.data.end());
+  info.trace = trace_span.ref();
+  (void)netfs::deliver_packet_in(*vfs_, options_.net_root + "/events", info);
 }
 
 void OfDriver::on_port_status(Connection& conn, const ofp::PortStatus& ps) {
@@ -1261,8 +1248,7 @@ void OfDriver::on_port_status(Connection& conn, const ofp::PortStatus& ps) {
 void OfDriver::on_flow_removed(Connection& conn, const ofp::FlowRemoved& fr) {
   bump_counter(conn.path + "/counters/flow_expirations");
   for (auto& [name, state] : conn.flows) {
-    if (state.pushed.match == fr.match &&
-        state.pushed.priority == fr.priority) {
+    if (same_entry(state.pushed, fr.match, fr.priority, fr.table_id)) {
       // Hardware dropped the entry; mirror it out of the FS without
       // bouncing another delete to the switch.
       conn.suppress_delete.insert(name);
@@ -1291,8 +1277,8 @@ void OfDriver::on_stats_reply(Connection& conn, const ofp::StatsReply& sr,
     case ofp::StatsKind::flow:
       for (const auto& entry : sr.flows) {
         for (const auto& [name, state] : conn.flows) {
-          if (state.pushed.match == entry.spec.match &&
-              state.pushed.priority == entry.spec.priority) {
+          if (same_entry(state.pushed, entry.spec.match, entry.spec.priority,
+                         entry.spec.table_id)) {
             (void)netfs::write_flow_stats(
                 *vfs_, conn.path + "/flows/" + name,
                 {entry.packet_count, entry.byte_count});
@@ -1354,14 +1340,7 @@ void OfDriver::request_stats() {
 }
 
 void OfDriver::ping_switches() {
-  auto now = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                 std::chrono::steady_clock::now().time_since_epoch())
-                 .count();
-  ofp::EchoRequest ping;
-  ping.data.resize(8);
-  for (int i = 0; i < 8; ++i)
-    ping.data[i] =
-        static_cast<std::uint8_t>(static_cast<std::uint64_t>(now) >> (8 * i));
+  ofp::EchoRequest ping = echo_request();
   for (auto& conn : connections_) {
     if (conn->state != Connection::State::ready ||
         !conn->channel.connected())

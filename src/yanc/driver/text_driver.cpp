@@ -2,6 +2,7 @@
 
 #include <tuple>
 
+#include "yanc/netfs/packetio.hpp"
 #include "yanc/util/strings.hpp"
 
 namespace yanc::driver {
@@ -13,8 +14,7 @@ struct TextDriver::Connection {
   bool ready = false;
   std::string name;
   std::string path;
-  // flow name -> version last sent to the device
-  std::map<std::string, std::uint64_t> pushed;
+  netfs::FlowFollower flows;  // committed flows sent to the device
 
   void send_line(const std::string& line) {
     // Failure means the switch end closed; the driver notices via
@@ -65,16 +65,7 @@ void TextDriver::handle_line(Connection& conn, const std::string& line) {
     return;
   }
   if (tokens[0] == "PACKETIN" && conn.ready && tokens.size() >= 3) {
-    std::uint16_t port = 0;
-    std::string data;
-    for (const auto& t : tokens) {
-      if (starts_with(t, "port="))
-        port = static_cast<std::uint16_t>(
-            parse_u64(t.substr(5)).value_or(0));
-      else if (starts_with(t, "data="))
-        data = t.substr(5);
-    }
-    deliver_packet_in(conn, port, data);
+    deliver_packet_in(conn, tokens);
     return;
   }
   if (tokens[0] == "BYE") {
@@ -114,57 +105,37 @@ void TextDriver::on_hello(Connection& conn, const std::string& line) {
 }
 
 std::size_t TextDriver::sync_flows(Connection& conn) {
-  std::size_t work = 0;
-  auto flows = vfs_->readdir(conn.path + "/flows");
-  if (!flows) return 0;
-  std::map<std::string, bool> present;
-  for (const auto& entry : *flows) {
-    present[entry.name] = true;
-    auto spec =
-        netfs::read_flow(*vfs_, conn.path + "/flows/" + entry.name);
-    if (!spec || spec->version == 0) continue;
-    auto& pushed = conn.pushed[entry.name];
-    if (spec->version <= pushed) continue;
-    conn.send_line("FLOW " + entry.name + " " + spec->to_string());
-    pushed = spec->version;
-    ++work;
-  }
-  for (auto it = conn.pushed.begin(); it != conn.pushed.end();) {
-    if (present.count(it->first)) {
-      ++it;
-      continue;
-    }
-    conn.send_line("UNFLOW " + it->first);
-    it = conn.pushed.erase(it);
-    ++work;
-  }
-  return work;
+  return conn.flows.sync(
+      *vfs_, conn.path + "/flows",
+      [&](const std::string& name, const flow::FlowSpec& spec) {
+        conn.send_line("FLOW " + name + " " + spec.to_string());
+      },
+      [&](const std::string& name) { conn.send_line("UNFLOW " + name); });
 }
 
-void TextDriver::deliver_packet_in(Connection& conn, std::uint16_t port,
-                                   const std::string& hex_data) {
-  // Hex decode the frame.
-  std::string data;
-  for (std::size_t i = 0; i + 1 < hex_data.size(); i += 2) {
-    auto byte = parse_hex_u64(hex_data.substr(i, 2));
-    if (!byte) return;
-    data.push_back(static_cast<char>(*byte));
+void TextDriver::deliver_packet_in(Connection& conn,
+                                   const std::vector<std::string>& tokens) {
+  netfs::PacketInInfo info;
+  for (const auto& t : tokens) {
+    if (starts_with(t, "port="))
+      info.in_port =
+          static_cast<std::uint16_t>(parse_u64(t.substr(5)).value_or(0));
+    if (!starts_with(t, "data=")) continue;
+    for (std::size_t i = 5; i + 1 < t.size(); i += 2) {  // hex frame
+      auto byte = parse_hex_u64(t.substr(i, 2));
+      if (!byte) return;
+      info.data.push_back(static_cast<char>(*byte));
+    }
   }
-  std::string events_dir = options_.net_root + "/events";
-  auto apps = vfs_->readdir(events_dir);
-  if (!apps) return;
+  // The xpkt_ prefix keeps these names apart from the OpenFlow driver's
+  // pkt_ events in the same buffers.
   char seq[24];
   std::snprintf(seq, sizeof seq, "xpkt_%09llu",
                 static_cast<unsigned long long>(next_pkt_++));
-  for (const auto& app : *apps) {
-    if (app.type != vfs::FileType::directory) continue;
-    std::string dir = events_dir + "/" + app.name + "/" + seq;
-    if (vfs_->mkdir(dir)) continue;
-    (void)vfs_->write_file(dir + "/datapath", conn.name);
-    (void)vfs_->write_file(dir + "/in_port", std::to_string(port));
-    (void)vfs_->write_file(dir + "/reason", "no_match");
-    (void)vfs_->write_file(dir + "/data", data);
-  }
+  info.name = seq;
+  info.datapath = conn.name;
+  info.reason = "no_match";
+  (void)netfs::deliver_packet_in(*vfs_, options_.net_root + "/events", info);
 }
 
 }  // namespace yanc::driver

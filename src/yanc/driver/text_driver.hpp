@@ -17,7 +17,6 @@
 // tell a TEXT/1 device from an OpenFlow switch, which is the whole point.
 #pragma once
 
-#include <map>
 #include <memory>
 #include <string>
 
@@ -49,8 +48,8 @@ class TextDriver {
   void handle_line(Connection& conn, const std::string& line);
   void on_hello(Connection& conn, const std::string& line);
   std::size_t sync_flows(Connection& conn);
-  void deliver_packet_in(Connection& conn, std::uint16_t port,
-                         const std::string& hex_data);
+  void deliver_packet_in(Connection& conn,
+                         const std::vector<std::string>& tokens);
 
   std::shared_ptr<vfs::Vfs> vfs_;
   TextDriverOptions options_;

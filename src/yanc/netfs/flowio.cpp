@@ -367,4 +367,32 @@ Status write_flow_stats(Vfs& vfs, const std::string& dir,
                         creds);
 }
 
+std::size_t FlowFollower::sync(Vfs& vfs, const std::string& flows_dir,
+                               const OnCommit& on_commit,
+                               const OnGone& on_gone,
+                               const Credentials& creds) {
+  std::size_t calls = 0;
+  std::set<std::string, std::less<>> listed;
+  if (auto entries = vfs.readdir(flows_dir, creds)) {
+    for (auto& e : *entries)
+      if (e.type == vfs::FileType::directory) listed.insert(std::move(e.name));
+  }
+  for (const auto& name : listed) {
+    auto spec = read_flow(vfs, flows_dir + "/" + name, creds);
+    if (!spec || spec->version == 0) continue;  // not committed (§3.4)
+    auto& reported = versions_[name];
+    if (spec->version <= reported) continue;
+    reported = spec->version;
+    on_commit(name, *spec);
+    ++calls;
+  }
+  std::erase_if(versions_, [&](const auto& reported) {
+    if (listed.count(reported.first)) return false;
+    on_gone(reported.first);
+    ++calls;
+    return true;
+  });
+  return calls;
+}
+
 }  // namespace yanc::netfs

@@ -11,6 +11,8 @@
 //   set_vlan, strip_vlan, set_dl_*, set_nw_*, set_tp_*, enqueue, out.
 #pragma once
 
+#include <functional>
+#include <map>
 #include <string>
 
 #include "yanc/flow/flowspec.hpp"
@@ -59,5 +61,29 @@ Result<flow::FlowStats> read_flow_stats(vfs::Vfs& vfs,
 [[nodiscard]] Status write_flow_stats(vfs::Vfs& vfs, const std::string& flow_dir,
                         const flow::FlowStats& stats,
                         const vfs::Credentials& creds = {});
+
+/// Follows the committed flows of one flows/ directory: the §3.4 commit
+/// rule on the consumer side, for consumers that poll instead of
+/// watching (the TEXT/1 driver, views).
+class FlowFollower {
+ public:
+  using OnCommit =
+      std::function<void(const std::string& name, const flow::FlowSpec& spec)>;
+  using OnGone = std::function<void(const std::string& name)>;
+
+  /// Lists `flows_dir` once.  Calls `on_commit` for every flow whose
+  /// version is non-zero and newer than the one last reported, then
+  /// `on_gone` for every reported flow no longer listed.  A directory
+  /// that cannot be listed counts as empty.  Returns the callbacks made.
+  std::size_t sync(vfs::Vfs& vfs, const std::string& flows_dir,
+                   const OnCommit& on_commit, const OnGone& on_gone,
+                   const vfs::Credentials& creds = {});
+
+  /// True when every flow reported committed has been reported gone.
+  bool empty() const noexcept { return versions_.empty(); }
+
+ private:
+  std::map<std::string, std::uint64_t> versions_;  // name -> last reported
+};
 
 }  // namespace yanc::netfs

@@ -59,10 +59,6 @@ SwitchHandle NetDir::switch_at(const std::string& name) const {
   return SwitchHandle(vfs_, base_ + "/switches/" + name, creds_);
 }
 
-Result<std::vector<std::string>> NetDir::host_names() const {
-  return dir_names(*vfs_, base_ + "/hosts", creds_);
-}
-
 Status NetDir::add_host(const std::string& name, const MacAddress& mac,
                         const Ipv4Address& ip) {
   std::string path = base_ + "/hosts/" + name;
@@ -182,11 +178,6 @@ Result<std::string> SwitchHandle::read_field(const std::string& file) const {
   return std::string(trim(*data));
 }
 
-Status SwitchHandle::write_field(const std::string& file,
-                                 const std::string& value) {
-  return vfs_->write_file(path_ + "/" + file, value, creds_);
-}
-
 // --- PortHandle --------------------------------------------------------------
 
 PortHandle::PortHandle(std::shared_ptr<Vfs> vfs, std::string path,
@@ -226,16 +217,6 @@ Status PortHandle::clear_peer() {
 
 Result<bool> PortHandle::link_down() const {
   return read_flag_file(*vfs_, path_ + "/state.link_down", creds_);
-}
-
-Status PortHandle::set_link_down(bool down) {
-  return vfs_->write_file(path_ + "/state.link_down", down ? "1" : "0",
-                          creds_);
-}
-
-Status PortHandle::set_port_down(bool down) {
-  return vfs_->write_file(path_ + "/config.port_down", down ? "1" : "0",
-                          creds_);
 }
 
 Result<bool> PortHandle::port_down() const {
@@ -322,52 +303,23 @@ EventBufferHandle::EventBufferHandle(std::shared_ptr<Vfs> vfs,
                                      std::string path, Credentials creds)
     : vfs_(std::move(vfs)), path_(std::move(path)), creds_(std::move(creds)) {}
 
-Result<std::vector<std::string>> EventBufferHandle::pending() const {
-  return dir_names(*vfs_, path_, creds_);
-}
-
-Result<PacketInInfo> EventBufferHandle::read(const std::string& name) const {
-  std::string dir = path_ + "/" + name;
-  PacketInInfo info;
-  info.name = name;
-  auto dp = vfs_->read_file(dir + "/datapath", creds_);
-  if (!dp) return dp.error();
-  info.datapath = trim(*dp);
-  if (auto v = read_u64_file(*vfs_, dir + "/in_port", creds_))
-    info.in_port = static_cast<std::uint16_t>(*v);
-  if (auto r = vfs_->read_file(dir + "/reason", creds_))
-    info.reason = trim(*r);
-  if (auto v = read_u64_file(*vfs_, dir + "/buffer_id", creds_))
-    info.buffer_id = static_cast<std::uint32_t>(*v);
-  if (auto d = vfs_->read_file(dir + "/data", creds_)) info.data = *d;
-  // Claim the causal context the driver staged under this directory's
-  // path (first reader wins — matching consume(), which also races at
-  // most one winner).  The elapsed time since the driver's put is the
-  // event's buffer wait.
-  if (obs::tracer().enabled()) {
-    if (auto handoff = obs::tracer().path_take(dir)) {
-      info.trace = handoff.ref;
-      std::uint64_t now = obs::Tracer::now_ns();
-      info.trace_queue_ns = now > handoff.ts_ns ? now - handoff.ts_ns : 0;
-    }
-  }
-  return info;
-}
-
-Status EventBufferHandle::consume(const std::string& name) {
-  return vfs_->rmdir(path_ + "/" + name, creds_);
-}
-
 Result<std::vector<PacketInInfo>> EventBufferHandle::drain() {
-  auto names = pending();
+  auto names = dir_names(*vfs_, path_, creds_);
+  if (names.error() == make_error_code(Errc::not_found)) {
+    // Not subscribed yet: create the buffer; nothing can be pending in it.
+    auto ec = vfs_->mkdir(path_, 0755, creds_);
+    if (ec && ec != make_error_code(Errc::exists)) return ec;
+    return std::vector<PacketInInfo>{};
+  }
   if (!names) return names.error();
   std::sort(names->begin(), names->end());
   std::vector<PacketInInfo> out;
   for (const auto& name : *names) {
-    auto info = read(name);
+    std::string dir = path_ + "/" + name;
+    auto info = read_packet_in(*vfs_, dir, creds_);
     if (!info) return info.error();
     out.push_back(std::move(*info));
-    if (auto ec = consume(name); ec) return ec;
+    if (auto ec = vfs_->rmdir(dir, creds_); ec) return ec;
   }
   return out;
 }

@@ -14,7 +14,7 @@
 
 #include "yanc/flow/flowspec.hpp"
 #include "yanc/netfs/flowio.hpp"
-#include "yanc/obs/tracer.hpp"
+#include "yanc/netfs/packetio.hpp"
 #include "yanc/vfs/vfs.hpp"
 
 namespace yanc::netfs {
@@ -24,23 +24,6 @@ class PortHandle;
 class FlowHandle;
 class HostHandle;
 class EventBufferHandle;
-
-/// One decoded packet-in event (§3.5): the files of a pkt_* directory.
-struct PacketInInfo {
-  std::string name;      // directory name inside the buffer
-  std::string datapath;  // switch name
-  std::uint16_t in_port = 0;
-  std::string reason;    // "no_match" | "action"
-  std::uint32_t buffer_id = 0;
-  std::string data;      // raw frame bytes
-
-  // Causal context the driver handed over with this pkt_* directory
-  // (zero when the packet-in was untraced).  `trace_queue_ns` is how long
-  // the event sat in the buffer before this app read it — the app's span
-  // should pass it as queue_ns so wait and service stay separated.
-  obs::TraceRef trace;
-  std::uint64_t trace_queue_ns = 0;
-};
 
 class NetDir {
  public:
@@ -58,7 +41,6 @@ class NetDir {
   SwitchHandle switch_at(const std::string& name) const;
 
   // hosts/
-  Result<std::vector<std::string>> host_names() const;
   [[nodiscard]] Status add_host(const std::string& name, const MacAddress& mac,
                   const Ipv4Address& ip);
   HostHandle host_at(const std::string& name) const;
@@ -110,7 +92,6 @@ class SwitchHandle {
 
   /// Reads a file directly under the switch dir ("capabilities", ...).
   Result<std::string> read_field(const std::string& file) const;
-  [[nodiscard]] Status write_field(const std::string& file, const std::string& value);
 
  private:
   std::shared_ptr<vfs::Vfs> vfs_;
@@ -136,8 +117,6 @@ class PortHandle {
   [[nodiscard]] Status clear_peer();
 
   Result<bool> link_down() const;
-  [[nodiscard]] Status set_link_down(bool down);
-  [[nodiscard]] Status set_port_down(bool down);
   Result<bool> port_down() const;
 
   Result<std::uint64_t> counter(const std::string& name) const;
@@ -200,13 +179,9 @@ class EventBufferHandle {
 
   const std::string& path() const noexcept { return path_; }
 
-  /// Names of pending packet-in directories (oldest-first by name).
-  Result<std::vector<std::string>> pending() const;
-  /// Reads one packet-in.
-  Result<PacketInInfo> read(const std::string& name) const;
-  /// Removes a consumed packet-in.
-  [[nodiscard]] Status consume(const std::string& name);
-  /// Reads and consumes everything pending.
+  /// Reads (netfs::read_packet_in) and consumes everything pending,
+  /// oldest first by name.  Creates the buffer when it does not exist,
+  /// so an app subscribes by draining.
   Result<std::vector<PacketInInfo>> drain();
   /// Registers a watch for new packet-ins.
   Result<std::shared_ptr<vfs::WatchHandle>> watch(vfs::WatchQueuePtr queue);

@@ -644,6 +644,7 @@ Result<Message> decode_stats_reply(BufReader& r, Version v) {
         if (len < 2 || static_cast<std::size_t>(len - 2) > r.remaining()) return Errc::protocol_error;
         BufReader entry = r.sub(len - 2);
         e.table_id = entry.u8();
+        e.spec.table_id = e.table_id;
         entry.skip(1);
         if (v == Version::of10) {
           auto match = wire10::decode_match(entry);

@@ -7,7 +7,8 @@ namespace yanc::topo {
 
 DiscoveryDaemon::DiscoveryDaemon(std::shared_ptr<vfs::Vfs> vfs,
                                  DiscoveryOptions options)
-    : vfs_(std::move(vfs)), options_(std::move(options)) {}
+    : vfs_(std::move(vfs)), options_(std::move(options)),
+      events_(vfs_, options_.net_root + "/events/" + options_.app_name, {}) {}
 
 Result<std::size_t> DiscoveryDaemon::step(std::uint64_t now_ns) {
   if (auto ec = send_probes(); ec) return ec;
@@ -26,28 +27,18 @@ Status DiscoveryDaemon::send_probes() {
       // LLDP chassis/port identify the *sender* so the receiver learns the
       // remote end of the link.
       auto frame = net::build_lldp(sw_name, port_name);
-      std::string dir = sw.path() + "/packet_out/lldp_" +
-                        std::to_string(next_probe_++);
-      if (auto ec = vfs_->mkdir(dir); ec) continue;
-      (void)vfs_->write_file(dir + "/out", port_name);
-      (void)vfs_->write_file(
-          dir + "/data",
-          std::string_view(reinterpret_cast<const char*>(frame.data()),
-                           frame.size()));
-      (void)vfs_->write_file(dir + "/send", "1");
+      netfs::PacketOutRequest req;
+      req.out = port_name;
+      req.data.assign(frame.begin(), frame.end());
+      (void)netfs::write_packet_out(
+          *vfs_, sw.path(), "lldp_" + std::to_string(next_probe_++), req);
     }
   }
   return ok_status();
 }
 
 Result<std::size_t> DiscoveryDaemon::consume(std::uint64_t now_ns) {
-  if (!events_) {
-    netfs::NetDir net(vfs_, options_.net_root);
-    auto buf = net.open_events(options_.app_name);
-    if (!buf) return buf.error();
-    events_ = *buf;
-  }
-  auto pending = events_->drain();
+  auto pending = events_.drain();
   if (!pending) return pending.error();
   for (const auto& pkt : *pending) {
     net::Frame frame(pkt.data.begin(), pkt.data.end());

@@ -46,7 +46,7 @@ class DiscoveryDaemon {
 
   std::shared_ptr<vfs::Vfs> vfs_;
   DiscoveryOptions options_;
-  std::optional<netfs::EventBufferHandle> events_;
+  netfs::EventBufferHandle events_;  // subscribed by the first drain
   std::uint64_t next_probe_ = 1;
   // Directed link (src -> dst) -> last confirmation time.
   std::map<std::pair<PortRef, PortRef>, std::uint64_t> last_seen_;

@@ -3,13 +3,15 @@
 //
 // This is the load-bearing abstraction of the whole reproduction.  The
 // paper's architecture works *because* everything is a file system:
-//   - MemFs        : plain storage (the yanc FS's backing store)
-//   - YancFs       : MemFs + network-object schema semantics (§3)
-//   - ViewFs       : a slice/virtualization of another filesystem (§4.2)
-//   - ReplicatedFs : a distributed filesystem (§6)
-// All of them implement this one interface, so views stack on views, the
-// distributed layer slides underneath the yanc FS without anyone noticing,
-// and Linux-namespace-style isolation is just a different root NodeId.
+//   - MemFs            : plain storage (the yanc FS's backing store)
+//   - YancFs           : MemFs + network-object schema semantics (§3)
+//   - ReplicatedYancFs : the yanc FS replicated across nodes (dist, §6)
+//   - SynthFs          : callback-backed control files (/yanc/.stats ...)
+// All of them implement this one interface, so the distributed layer
+// slides in under the apps without anyone noticing, and
+// Linux-namespace-style isolation is just a different root NodeId.
+// Views (§4.2) need no file system of their own: they are /net/views/<v>
+// subtrees of the same yanc FS, kept in step by view daemons.
 //
 // The interface is node-based (like the FUSE lowlevel API): the Vfs layer
 // owns path walking, symlink following and mount crossing; filesystems only

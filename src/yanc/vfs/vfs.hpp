@@ -3,8 +3,8 @@
 //
 // Responsibilities (mirroring the kernel VFS the paper leans on):
 //   - mounts: any Filesystem can be mounted at any directory; the yanc FS
-//     mounts at /net, a ReplicatedFs can mount *underneath* it (§6), and a
-//     ViewFs can mount a slice at /net/views/<v> for namespaced apps.
+//     mounts at /net (a dist::ReplicatedYancFs in a cluster, §6), and
+//     /yanc/.stats, /yanc/.trace and /yanc/.faults are SynthFs mounts.
 //   - path walking: component-wise lookup with symlink following (ELOOP
 //     guard), ".." tracked through mount crossings, per-component execute
 //     permission checks against the caller's Credentials.

@@ -1,7 +1,5 @@
 #include "yanc/view/bigswitch.hpp"
 
-#include <set>
-
 #include "yanc/net/packet.hpp"
 #include "yanc/netfs/flowio.hpp"
 #include "yanc/util/strings.hpp"
@@ -58,35 +56,21 @@ Result<std::size_t> BigSwitch::poll() {
 
 std::size_t BigSwitch::sync_flows() {
   std::size_t work = 0;
-  netfs::NetDir child(vfs_, view_root_);
-  auto vsw = child.switch_at(config_.switch_name);
-  auto flows = vsw.flow_names();
-  if (!flows) return 0;
-
-  std::set<std::string> present(flows->begin(), flows->end());
-  for (const auto& flow_name : *flows) {
-    auto spec = vsw.flow_at(flow_name).read();
-    if (!spec || spec->version == 0) continue;
-    auto& version = pushed_[flow_name];
-    if (spec->version <= version) continue;
-    retract_flow(flow_name);  // recompile from scratch on change
-    if (compile_flow(flow_name, *spec)) {
-      ++rejected_;
-    } else {
-      ++compiled_;
-      ++work;
-    }
-    version = spec->version;
-  }
-  for (auto it = pushed_.begin(); it != pushed_.end();) {
-    if (present.count(it->first)) {
-      ++it;
-    } else {
-      retract_flow(it->first);
-      it = pushed_.erase(it);
-      ++work;
-    }
-  }
+  follower_.sync(
+      *vfs_, virtual_switch_path() + "/flows",
+      [&](const std::string& name, const FlowSpec& spec) {
+        retract_flow(name);  // recompile from scratch on change
+        if (compile_flow(name, spec)) {
+          ++rejected_;
+          return;
+        }
+        ++compiled_;
+        ++work;
+      },
+      [&](const std::string& name) {
+        retract_flow(name);
+        ++work;
+      });
   return work;
 }
 
@@ -203,24 +187,16 @@ std::size_t BigSwitch::forward_events() {
   if (!parent_events_) return 0;
   auto pending = parent_events_->drain();
   if (!pending) return 0;
-  auto view_apps = vfs_->readdir(view_root_ + "/events");
-  if (!view_apps) return 0;
-
   std::size_t forwarded = 0;
-  for (const auto& pkt : *pending) {
+  for (auto& pkt : *pending) {
     std::uint16_t vport =
         virtual_port(topo::PortRef{pkt.datapath, pkt.in_port});
     if (vport == 0) continue;  // not an edge port of this big switch
-    for (const auto& app : *view_apps) {
-      if (app.type != vfs::FileType::directory) continue;
-      std::string dir = view_root_ + "/events/" + app.name + "/" + pkt.name;
-      if (vfs_->mkdir(dir)) continue;
-      (void)vfs_->write_file(dir + "/datapath", config_.switch_name);
-      (void)vfs_->write_file(dir + "/in_port", std::to_string(vport));
-      (void)vfs_->write_file(dir + "/reason", pkt.reason);
-      (void)vfs_->write_file(dir + "/data", pkt.data);
-      ++forwarded;
-    }
+    pkt.datapath = config_.switch_name;
+    pkt.in_port = vport;
+    obs::Span trace_span(pkt.trace, "view", "packet_in", pkt.trace_queue_ns);
+    pkt.trace = trace_span.ref();
+    forwarded += netfs::deliver_packet_in(*vfs_, view_root_ + "/events", pkt);
   }
   return forwarded;
 }

@@ -63,7 +63,7 @@ class BigSwitch {
   std::string view_root_;
   BigSwitchConfig config_;
   std::optional<netfs::EventBufferHandle> parent_events_;
-  std::map<std::string, std::uint64_t> pushed_;  // flow -> version
+  netfs::FlowFollower follower_;  // virtual flows compiled so far
   // flow -> parent flow paths installed for it
   std::map<std::string, std::vector<std::string>> installed_;
   std::uint64_t compiled_ = 0;

@@ -101,9 +101,7 @@ std::optional<FlowSpec> Slicer::translate(const std::string& sw,
   return out;
 }
 
-std::string Slicer::parent_flow_name(const std::string& sw,
-                                     const std::string& name) const {
-  (void)sw;
+std::string Slicer::parent_flow_name(const std::string& name) const {
   return "view_" + config_.name + "__" + name;
 }
 
@@ -114,51 +112,35 @@ Result<std::size_t> Slicer::poll() {
 }
 
 std::size_t Slicer::sync_flows() {
-  std::size_t work = 0;
   netfs::NetDir child(vfs_, view_root_);
   auto switches = child.switch_names();
   if (!switches) return 0;
-
-  std::set<std::pair<std::string, std::string>> present;
-  for (const auto& sw_name : *switches) {
-    auto sw = child.switch_at(sw_name);
-    auto flows = sw.flow_names();
-    if (!flows) continue;
-    for (const auto& flow_name : *flows) {
-      present.insert({sw_name, flow_name});
-      auto spec = sw.flow_at(flow_name).read();
-      if (!spec) continue;
-      if (spec->version == 0) continue;  // not committed
-      auto& pushed_version = pushed_[{sw_name, flow_name}];
-      if (spec->version <= pushed_version) continue;
-
-      auto translated = translate(sw_name, *spec);
-      std::string parent_flow = parent_root_ + "/switches/" + sw_name +
-                                "/flows/" +
-                                parent_flow_name(sw_name, flow_name);
-      if (!translated) {
-        ++rejected_;
-        pushed_version = spec->version;
-        // A previously-translated version may exist: retract it.
-        (void)vfs_->rmdir(parent_flow);
-        continue;
-      }
-      if (!netfs::write_flow(*vfs_, parent_flow, *translated)) ++work;
-      pushed_version = spec->version;
-    }
-  }
-
-  // View flows that disappeared retract their parent counterpart.
-  for (auto it = pushed_.begin(); it != pushed_.end();) {
-    if (present.count(it->first)) {
-      ++it;
-      continue;
-    }
-    const auto& [sw_name, flow_name] = it->first;
-    (void)vfs_->rmdir(parent_root_ + "/switches/" + sw_name + "/flows/" +
-                      parent_flow_name(sw_name, flow_name));
-    it = pushed_.erase(it);
-    ++work;
+  for (const auto& sw : *switches) followers_[sw];
+  std::size_t work = 0;
+  // A switch gone from the view is synced once more: its flows/ can no
+  // longer be listed, so every flow it carried is retracted.
+  for (auto it = followers_.begin(); it != followers_.end();) {
+    const std::string& sw = it->first;
+    std::string parent_flows = parent_root_ + "/switches/" + sw + "/flows/";
+    it->second.sync(
+        *vfs_, view_root_ + "/switches/" + sw + "/flows",
+        [&](const std::string& name, const FlowSpec& spec) {
+          std::string parent_flow = parent_flows + parent_flow_name(name);
+          auto translated = translate(sw, spec);
+          if (!translated) {
+            ++rejected_;
+            // A previously-translated version may exist: retract it.
+            (void)vfs_->rmdir(parent_flow);
+            return;
+          }
+          if (!netfs::write_flow(*vfs_, parent_flow, *translated)) ++work;
+        },
+        [&](const std::string& name) {
+          // View flows that disappeared retract their parent counterpart.
+          (void)vfs_->rmdir(parent_flows + parent_flow_name(name));
+          ++work;
+        });
+    it = it->second.empty() ? followers_.erase(it) : std::next(it);
   }
   return work;
 }
@@ -168,11 +150,7 @@ std::size_t Slicer::forward_events() {
   auto pending = parent_events_->drain();
   if (!pending) return 0;
   std::size_t forwarded = 0;
-
-  auto view_apps = vfs_->readdir(view_root_ + "/events");
-  if (!view_apps) return 0;
-
-  for (const auto& pkt : *pending) {
+  for (auto& pkt : *pending) {
     if (!switch_in_slice(pkt.datapath) ||
         !port_in_slice(pkt.datapath, pkt.in_port))
       continue;
@@ -181,21 +159,9 @@ std::size_t Slicer::forward_events() {
     auto parsed = net::parse_frame(frame);
     if (!parsed) continue;
     if (!config_.predicate.matches(parsed->fields(pkt.in_port))) continue;
-
-    for (const auto& app : *view_apps) {
-      if (app.type != vfs::FileType::directory) continue;
-      std::string dir =
-          view_root_ + "/events/" + app.name + "/" + pkt.name;
-      if (vfs_->mkdir(dir)) continue;
-      (void)vfs_->write_file(dir + "/datapath", pkt.datapath);
-      (void)vfs_->write_file(dir + "/in_port",
-                             std::to_string(pkt.in_port));
-      (void)vfs_->write_file(dir + "/reason", pkt.reason);
-      (void)vfs_->write_file(dir + "/buffer_id",
-                             std::to_string(pkt.buffer_id));
-      (void)vfs_->write_file(dir + "/data", pkt.data);
-      ++forwarded;
-    }
+    obs::Span trace_span(pkt.trace, "view", "packet_in", pkt.trace_queue_ns);
+    pkt.trace = trace_span.ref();
+    forwarded += netfs::deliver_packet_in(*vfs_, view_root_ + "/events", pkt);
   }
   return forwarded;
 }

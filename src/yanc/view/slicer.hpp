@@ -62,8 +62,7 @@ class Slicer {
   /// view spec -> parent spec; nullopt when outside the slice.
   std::optional<flow::FlowSpec> translate(const std::string& sw,
                                           const flow::FlowSpec& spec) const;
-  std::string parent_flow_name(const std::string& sw,
-                               const std::string& flow) const;
+  std::string parent_flow_name(const std::string& flow) const;
   std::size_t sync_flows();
   std::size_t forward_events();
 
@@ -72,8 +71,8 @@ class Slicer {
   std::string view_root_;
   SliceConfig config_;
   std::optional<netfs::EventBufferHandle> parent_events_;
-  // (switch, view flow name) -> version last pushed to the parent.
-  std::map<std::pair<std::string, std::string>, std::uint64_t> pushed_;
+  // View switch -> its committed flows pushed to the parent.
+  std::map<std::string, netfs::FlowFollower> followers_;
   std::uint64_t rejected_ = 0;
 };
 

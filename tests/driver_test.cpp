@@ -256,6 +256,26 @@ TEST_P(DriverTest, PacketOutThroughFilesystem) {
   EXPECT_EQ(*net().switch_at("sw1").read_field("counters/packet_outs"), "1");
 }
 
+// A request whose `out` the schema rejects is removed, never sent.
+TEST_P(DriverTest, RejectedPacketOutIsNeverSent) {
+  auto s = make_switch(0x42);
+  settle({s.get()});
+  net::Host h("h", MacAddress{}, Ipv4Address{}, network);
+  ASSERT_TRUE(network.add_link(*s, 2, h, 0).ok());
+  auto* sent = vfs->metrics()->counter("driver/of/packet_out_total");
+  const auto sent0 = sent->value();
+
+  netfs::PacketOutRequest req;
+  req.out = "notaport";
+  req.data = "frame";
+  EXPECT_EQ(netfs::write_packet_out(*vfs, "/net/switches/sw1", "bad", req),
+            make_error_code(Errc::invalid_argument));
+  settle({s.get()});
+  EXPECT_TRUE(vfs->readdir("/net/switches/sw1/packet_out")->empty());
+  EXPECT_EQ(sent->value(), sent0);
+  EXPECT_EQ(h.frames_received(), 0u);
+}
+
 TEST_P(DriverTest, PortDownWriteBecomesPortMod) {
   auto s = make_switch(0x42);
   settle({s.get()});
@@ -1025,6 +1045,147 @@ TEST(DriverAudit, InFlightFlowsAreNotRepaired) {
   EXPECT_GT(audits->value() - audits0, kFlows / 2);
   EXPECT_EQ(repairs->value() - repairs0, 0u);
   EXPECT_EQ(mods->value() - mods0, 2 * kFlows);
+}
+
+// OpenFlow 1.3 flow identity is (match, priority, table): the same match
+// and priority in two tables are two entries.  A two-table switch with
+// one such flow per table, audited every other poll, is already in sync:
+// 200 quiet polls repair nothing and send no FLOW_MOD.
+TEST(DriverAudit, MultiTableFlowsAreNotRepaired) {
+  auto vfs = std::make_shared<vfs::Vfs>();
+  ASSERT_TRUE(netfs::mount_yanc_fs(*vfs).ok());
+  net::Scheduler scheduler;
+  net::Network network(scheduler);
+  DriverOptions opts;
+  opts.version = ofp::Version::of13;
+  opts.audit_interval = 2;
+  OfDriver driver(vfs, opts);
+  sw::SwitchOptions sopts;
+  sopts.datapath_id = 0x42;
+  sopts.version = ofp::Version::of13;
+  sopts.n_tables = 2;
+  sw::Switch s("dp", sopts, network);
+  s.add_port(1, MacAddress::from_u64(1), "eth1");
+  s.connect(driver.listener().connect());
+  auto round = [&] {
+    driver.poll();
+    s.pump();
+    scheduler.run_until_idle();
+  };
+  for (int i = 0; i < 30; ++i) round();
+  netfs::NetDir net(vfs);
+  for (std::uint8_t table : {0, 1}) {
+    FlowSpec spec;
+    spec.match.tp_dst = 80;
+    spec.table_id = table;
+    spec.actions = {Action::output(1)};
+    ASSERT_FALSE(net.switch_at("sw1").add_flow(
+        "t" + std::to_string(table), spec));
+  }
+  for (int i = 0; i < 30; ++i) round();
+  ASSERT_EQ(s.table(0).size(), 1u);
+  ASSERT_EQ(s.table(1).size(), 1u);
+
+  auto& reg = *vfs->metrics();
+  auto* audits = reg.counter("driver/of/audit_total");
+  auto* repairs = reg.counter("driver/of/audit_repair_total");
+  auto* mods = reg.counter("driver/of/flow_mod_total");
+  const auto audits0 = audits->value();
+  const auto repairs0 = repairs->value();
+  const auto mods0 = mods->value();
+  for (int i = 0; i < 200; ++i) round();
+
+  EXPECT_GE(audits->value() - audits0, 50u);
+  EXPECT_EQ(repairs->value() - repairs0, 0u);
+  EXPECT_EQ(mods->value() - mods0, 0u);
+  EXPECT_EQ(s.table(0).size(), 1u);
+  EXPECT_EQ(s.table(1).size(), 1u);
+}
+
+// OpenFlow 1.0 switches have one table: a flow whose files name table 1
+// lands in table 0, and the audit must not count that as drift.
+TEST(DriverAudit, Of10FlowNamingAnotherTableIsNotRepaired) {
+  auto vfs = std::make_shared<vfs::Vfs>();
+  ASSERT_TRUE(netfs::mount_yanc_fs(*vfs).ok());
+  net::Scheduler scheduler;
+  net::Network network(scheduler);
+  DriverOptions opts;
+  opts.audit_interval = 2;
+  OfDriver driver(vfs, opts);
+  sw::SwitchOptions sopts;
+  sopts.datapath_id = 0x42;
+  sw::Switch s("dp", sopts, network);
+  s.add_port(1, MacAddress::from_u64(1), "eth1");
+  s.connect(driver.listener().connect());
+  auto round = [&] {
+    driver.poll();
+    s.pump();
+    scheduler.run_until_idle();
+  };
+  for (int i = 0; i < 30; ++i) round();
+  FlowSpec spec;
+  spec.table_id = 1;
+  spec.actions = {Action::output(1)};
+  ASSERT_FALSE(netfs::NetDir(vfs).switch_at("sw1").add_flow("f", spec));
+  for (int i = 0; i < 30; ++i) round();
+  ASSERT_EQ(s.table().size(), 1u);
+
+  auto& reg = *vfs->metrics();
+  auto* repairs = reg.counter("driver/of/audit_repair_total");
+  auto* mods = reg.counter("driver/of/flow_mod_total");
+  const auto repairs0 = repairs->value();
+  const auto mods0 = mods->value();
+  for (int i = 0; i < 200; ++i) round();
+  EXPECT_EQ(repairs->value() - repairs0, 0u);
+  EXPECT_EQ(mods->value() - mods0, 0u);
+  EXPECT_EQ(s.table().size(), 1u);
+}
+
+// An expiry names its entry by (match, priority, table): when the table-1
+// twin of a table-0 flow expires, only the table-1 directory goes.
+TEST(Driver13, ExpiryRemovesTheFlowOfItsTable) {
+  auto vfs = std::make_shared<vfs::Vfs>();
+  ASSERT_TRUE(netfs::mount_yanc_fs(*vfs).ok());
+  net::Scheduler scheduler;
+  net::Network network(scheduler);
+  DriverOptions opts;
+  opts.version = ofp::Version::of13;
+  OfDriver driver(vfs, opts);
+  sw::SwitchOptions sopts;
+  sopts.datapath_id = 0x7;
+  sopts.version = ofp::Version::of13;
+  sopts.n_tables = 2;
+  sw::Switch s("dp7", sopts, network);
+  s.add_port(1, MacAddress::from_u64(1), "eth1");
+  s.connect(driver.listener().connect());
+  auto settle = [&] {
+    for (int round = 0; round < 60; ++round) {
+      std::size_t work =
+          driver.poll() + s.pump() + scheduler.run_until_idle();
+      if (!work) break;
+    }
+  };
+  settle();
+  netfs::NetDir net(vfs);
+  FlowSpec spec;
+  spec.match.tp_dst = 80;
+  spec.actions = {Action::output(1)};
+  ASSERT_FALSE(net.switch_at("sw1").add_flow("a_table0", spec));
+  spec.table_id = 1;
+  spec.hard_timeout = 1;
+  ASSERT_FALSE(net.switch_at("sw1").add_flow("b_table1", spec));
+  settle();
+  ASSERT_EQ(s.table(0).size(), 1u);
+  ASSERT_EQ(s.table(1).size(), 1u);
+
+  scheduler.schedule_after(std::chrono::seconds(2), [] {});
+  scheduler.run_until_idle();
+  s.expire_flows();
+  settle();
+  EXPECT_EQ(s.table(0).size(), 1u);
+  EXPECT_EQ(s.table(1).size(), 0u);
+  EXPECT_TRUE(net.switch_at("sw1").flow_at("a_table0").exists());
+  EXPECT_FALSE(net.switch_at("sw1").flow_at("b_table1").exists());
 }
 
 TEST(DriverVersionMismatch, WrongDialectClosed) {

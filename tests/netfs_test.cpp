@@ -463,6 +463,103 @@ TEST_F(FlowIoTest, StatsRoundTrip) {
 
 // --- typed handles ---------------------------------------------------------------
 
+// --- packetio: the packet-in and packet-out codec --------------------------
+
+TEST_F(FlowIoTest, PacketInRoundTripIntoEveryBuffer) {
+  NetDir net(vfs);
+  ASSERT_TRUE(net.open_events("a").ok());
+  ASSERT_TRUE(net.open_events("b").ok());
+  PacketInInfo in;
+  in.name = "pkt_1";
+  in.datapath = "sw1";
+  in.in_port = 3;
+  in.reason = "action";
+  in.buffer_id = 9;
+  in.total_len = 1500;
+  in.data = std::string("\0\n\xff frame", 9);
+  EXPECT_EQ(deliver_packet_in(*vfs, "/net/events", in), 2u);
+  for (const char* app : {"a", "b"}) {
+    auto out = read_packet_in(*vfs, std::string("/net/events/") + app +
+                                        "/pkt_1");
+    ASSERT_TRUE(out.ok()) << app;
+    EXPECT_EQ(out->name, "pkt_1");
+    EXPECT_EQ(out->datapath, "sw1");
+    EXPECT_EQ(out->in_port, 3);
+    EXPECT_EQ(out->reason, "action");
+    EXPECT_EQ(out->buffer_id, 9u);
+    EXPECT_EQ(out->total_len, 1500u);
+    EXPECT_EQ(out->data, in.data);
+  }
+  // Fields left at their defaults read back as the schema defaults.
+  in.name = "pkt_2";
+  in.reason.clear();
+  in.buffer_id = in.total_len = 0;
+  EXPECT_EQ(deliver_packet_in(*vfs, "/net/events", in), 2u);
+  auto out = read_packet_in(*vfs, "/net/events/a/pkt_2");
+  ASSERT_TRUE(out.ok());
+  EXPECT_EQ(out->reason, "no_match");
+  EXPECT_EQ(out->buffer_id, 0u);
+  EXPECT_EQ(out->total_len, 0u);
+}
+
+TEST_F(FlowIoTest, PacketOutRoundTrip) {
+  PacketOutRequest req{3, "1 2", std::string("\0frame", 6)};
+  ASSERT_FALSE(write_packet_out(*vfs, "/net/switches/sw1", "r1", req));
+  auto out = read_packet_out(*vfs, "/net/switches/sw1/packet_out/r1");
+  ASSERT_TRUE(out.ok());
+  EXPECT_EQ(out->in_port, 3);
+  EXPECT_EQ(out->out, "1 2");
+  EXPECT_EQ(out->data, req.data);
+  // A request whose send flag is not set yet is not read.
+  ASSERT_FALSE(vfs->mkdir("/net/switches/sw1/packet_out/r2"));
+  EXPECT_EQ(read_packet_out(*vfs, "/net/switches/sw1/packet_out/r2").error(),
+            err(Errc::would_block));
+  EXPECT_EQ(read_packet_out(*vfs, "/net/switches/sw1/packet_out/r3").error(),
+            err(Errc::not_found));
+}
+
+TEST_F(FlowIoTest, RejectedPacketOutLeavesNoRequest) {
+  PacketOutRequest req;
+  req.out = "notaport";
+  req.data = "frame";
+  EXPECT_EQ(write_packet_out(*vfs, "/net/switches/sw1", "bad", req),
+            err(Errc::invalid_argument));
+  EXPECT_TRUE(vfs->readdir("/net/switches/sw1/packet_out")->empty());
+}
+
+TEST_F(FlowIoTest, FollowerReportsCommitsOnceAndGoneFlows) {
+  const std::string flows = "/net/switches/sw1/flows";
+  std::vector<std::string> log;
+  FlowFollower follower;
+  auto sync = [&] {
+    return follower.sync(
+        *vfs, flows,
+        [&](const std::string& name, const flow::FlowSpec& spec) {
+          log.push_back(name + "@" + std::to_string(spec.version));
+        },
+        [&](const std::string& name) { log.push_back(name + " gone"); });
+  };
+  flow::FlowSpec spec;
+  spec.actions = {flow::Action::output(1)};
+  ASSERT_FALSE(write_flow(*vfs, flows + "/staged", spec, {}, false));
+  ASSERT_FALSE(write_flow(*vfs, flows + "/f", spec));
+  EXPECT_EQ(sync(), 1u);  // the uncommitted flow is skipped
+  EXPECT_EQ(sync(), 0u);  // nothing new
+  ASSERT_TRUE(commit_flow(*vfs, flows + "/f").ok());
+  EXPECT_EQ(sync(), 1u);  // a recommit is reported once
+  EXPECT_EQ(sync(), 0u);
+  ASSERT_FALSE(vfs->rmdir(flows + "/f"));
+  EXPECT_EQ(sync(), 1u);
+  EXPECT_TRUE(follower.empty());
+  EXPECT_EQ(log, (std::vector<std::string>{"f@1", "f@2", "f gone"}));
+  // A directory that cannot be listed counts as empty.
+  ASSERT_TRUE(commit_flow(*vfs, flows + "/staged").ok());
+  EXPECT_EQ(sync(), 1u);
+  ASSERT_FALSE(vfs->remove_all("/net/switches/sw1"));
+  EXPECT_EQ(sync(), 1u);
+  EXPECT_EQ(log.back(), "staged gone");
+}
+
 class HandlesTest : public YancFsTest {
  protected:
   NetDir net() { return NetDir(vfs); }
@@ -569,7 +666,7 @@ TEST_F(HandlesTest, EventBufferDrain) {
   EXPECT_EQ((*events)[0].in_port, 10);
   EXPECT_EQ((*events)[1].in_port, 11);
   EXPECT_EQ((*events)[0].data, "payload");
-  EXPECT_TRUE(buf->pending()->empty());
+  EXPECT_TRUE(vfs->readdir(buf->path())->empty());
 }
 
 TEST_F(HandlesTest, EventBufferWatch) {

@@ -12,6 +12,7 @@
 #include "yanc/obs/tracer.hpp"
 #include "yanc/sw/switch.hpp"
 #include "yanc/vfs/synth_fs.hpp"
+#include "yanc/view/slicer.hpp"
 
 namespace yanc::apps {
 namespace {
@@ -145,6 +146,38 @@ TEST_F(TraceSmoke, OneTracedPacketInYieldsParentLinkedChain) {
   EXPECT_NE(json->find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(json->find("packet_in"), std::string::npos);
   EXPECT_NE(json->find("flow_mod"), std::string::npos);
+}
+
+// A view re-delivers a packet-in into its own events/: the trace the
+// driver handed to the view continues in the view app's copy.
+TEST_F(TraceSmoke, ViewForwardedPacketInKeepsDriverTrace) {
+  auto* s1 = add_switch(1);
+  settle();
+  view::SliceConfig cfg;
+  cfg.name = "tenant";  // the whole network
+  view::Slicer slicer(vfs, "/net", cfg);
+  ASSERT_FALSE(slicer.init());
+  netfs::NetDir net(vfs);
+  auto direct = net.open_events("monitor");
+  auto viewed = net.view("tenant").open_events("app");
+  ASSERT_TRUE(direct.ok() && viewed.ok());
+
+  ASSERT_FALSE(vfs->write_file("/yanc/.trace/ctl", "start"));
+  auto frame = net::build_ethernet(MacAddress::from_u64(2),
+                                   MacAddress::from_u64(1), 0x1234, {7});
+  s1->handle_frame(2, frame);
+  settle();
+  ASSERT_TRUE(slicer.poll().ok());
+  auto master_copy = direct->drain();
+  auto view_copy = viewed->drain();
+  ASSERT_FALSE(vfs->write_file("/yanc/.trace/ctl", "stop"));
+
+  ASSERT_TRUE(master_copy.ok() && view_copy.ok());
+  ASSERT_EQ(master_copy->size(), 1u);
+  ASSERT_EQ(view_copy->size(), 1u);
+  ASSERT_TRUE((*master_copy)[0].trace);
+  EXPECT_EQ((*view_copy)[0].trace.trace_id, (*master_copy)[0].trace.trace_id);
+  EXPECT_EQ(obs::tracer().inflight(), 0u);
 }
 
 }  // namespace

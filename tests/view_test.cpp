@@ -150,6 +150,8 @@ TEST_F(SlicerTest, EventsFilteredIntoView) {
     ASSERT_FALSE(vfs->mkdir(dir));
     ASSERT_FALSE(vfs->write_file(dir + "/datapath", "sw1"));
     ASSERT_FALSE(vfs->write_file(dir + "/in_port", "1"));
+    ASSERT_FALSE(vfs->write_file(dir + "/buffer_id", "7"));
+    ASSERT_FALSE(vfs->write_file(dir + "/total_len", "1500"));
     ASSERT_FALSE(vfs->write_file(
         dir + "/data",
         std::string_view(reinterpret_cast<const char*>(frame.data()),
@@ -163,6 +165,9 @@ TEST_F(SlicerTest, EventsFilteredIntoView) {
   ASSERT_TRUE(events.ok());
   ASSERT_EQ(events->size(), 1u);  // only the ssh packet crossed
   EXPECT_EQ((*events)[0].datapath, "sw1");
+  // Every field crosses the view, not just the ones it filters on.
+  EXPECT_EQ((*events)[0].buffer_id, 7u);
+  EXPECT_EQ((*events)[0].total_len, 1500u);
 }
 
 TEST_F(SlicerTest, SlicesStack) {
@@ -331,6 +336,8 @@ TEST_F(BigSwitchTest, EventsLiftWithVirtualPort) {
   ASSERT_FALSE(vfs->mkdir(dir));
   ASSERT_FALSE(vfs->write_file(dir + "/datapath", "sw3"));
   ASSERT_FALSE(vfs->write_file(dir + "/in_port", "2"));
+  ASSERT_FALSE(vfs->write_file(dir + "/buffer_id", "7"));
+  ASSERT_FALSE(vfs->write_file(dir + "/total_len", "1500"));
   ASSERT_FALSE(vfs->write_file(dir + "/data", "frame"));
   ASSERT_TRUE(big.poll().ok());
 
@@ -339,6 +346,8 @@ TEST_F(BigSwitchTest, EventsLiftWithVirtualPort) {
   ASSERT_EQ(events->size(), 1u);
   EXPECT_EQ((*events)[0].datapath, "big0");  // virtual identity
   EXPECT_EQ((*events)[0].in_port, 2);        // virtual port number
+  EXPECT_EQ((*events)[0].buffer_id, 7u);     // the rest is unchanged
+  EXPECT_EQ((*events)[0].total_len, 1500u);
 }
 
 TEST_F(BigSwitchTest, UnreachableEdgeRejected) {
