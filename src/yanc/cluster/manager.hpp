@@ -2,8 +2,8 @@
 // controller instances and fails shards over when their holder dies —
 // with every bit of coordination state living in the (replicated) file
 // system, true to the paper's thesis.  No side-channel RPC: nodes see
-// each other only through heartbeat files and lease files riding the
-// dist op log (docs/ROBUSTNESS.md "Cluster failover").
+// each other only through heartbeat files and lease files riding dist
+// replication (docs/ROBUSTNESS.md "Cluster failover").
 //
 // Layout under `cluster_dir` (default /net/.cluster — a hidden dir the
 // netfs schema admits as plain replicated territory):

@@ -80,7 +80,8 @@ struct ObjectSpec {
   /// (schema-free) directory territory even though this spec would
   /// otherwise forbid or type the child.  The root sets it so runtime
   /// subtrees like /net/.cluster can live inside the replicated FS and
-  /// ride its op log (ISSUE 7) without appearing in the Fig. 2 schema.
+  /// replicate like any other node without appearing in the Fig. 2
+  /// schema.
   bool allow_hidden = false;
   /// Symlink names permitted inside this object ("peer", "location").
   std::vector<const char*> symlinks;

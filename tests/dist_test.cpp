@@ -9,13 +9,46 @@
 #include "yanc/netfs/flowio.hpp"
 #include "yanc/netfs/handles.hpp"
 #include "yanc/obs/metrics.hpp"
+#include "yanc/util/rng.hpp"
 #include "yanc/util/strings.hpp"
+#include "yanc/vfs/vfs.hpp"
 
 namespace yanc::dist {
 namespace {
 
 using flow::Action;
 using flow::FlowSpec;
+
+Result<vfs::NodeId> resolve(ReplicatedYancFs& fs, const std::string& path) {
+  vfs::NodeId id = fs.root();
+  for (const auto& comp : split_nonempty(path, '/')) {
+    auto next = fs.lookup(id, comp);
+    if (!next) return next.error();
+    id = *next;
+  }
+  return id;
+}
+
+/// Every replica link loses every message until
+/// attach_faults(transport, nullptr) detaches the injector.
+void drop_everything(Transport& transport) {
+  auto inj = std::make_shared<faults::Injector>(1);
+  faults::FaultPlan plan;
+  plan.drop = 1.0;
+  inj->set_plan(faults::Scope::transport, plan);
+  attach_faults(transport, inj);
+}
+
+void anti_entropy(Cluster& cluster, net::Scheduler& scheduler, int rounds) {
+  for (int round = 0; round < rounds; ++round) {
+    cluster.anti_entropy_round();
+    scheduler.run_until_idle();
+  }
+}
+
+std::vector<std::uint8_t> bytes_of(const std::string& s) {
+  return {s.begin(), s.end()};
+}
 
 TEST(TransportTest, DeliversWithLatency) {
   net::Scheduler scheduler;
@@ -188,7 +221,7 @@ TEST_F(ClusterTest, MkdirReplicatesWithSchema) {
   ASSERT_TRUE(fs0->mkdir(*switches, "sw1", 0755, {}).ok());
   settle();
   // ...materializes on every node, with its schema children auto-created
-  // locally (the op log carries one mkdir, not the whole subtree).
+  // locally (the record carries the one directory, not the whole subtree).
   for (std::size_t node : {1u, 2u}) {
     auto fs = cluster.fs(node);
     auto sw = fs->lookup(*fs->lookup(fs->root(), "switches"), "sw1");
@@ -210,6 +243,31 @@ TEST_F(ClusterTest, WritesReplicateContent) {
   settle();
   EXPECT_EQ(content(1, "/switches/sw1/id"), "0xabc");
   EXPECT_EQ(content(2, "/switches/sw1/id"), "0xabc");
+}
+
+// A whole-file write is one record per peer, and the receiving replica
+// adopts the new content in one step: its watcher sees one modification,
+// never the empty file in between.
+TEST_F(ClusterTest, ReplaceCrossesAsOneRecord) {
+  auto fs0 = cluster.fs(0);
+  ASSERT_TRUE(
+      fs0->mkdir(*fs0->lookup(fs0->root(), "switches"), "sw1", 0755, {}).ok());
+  settle();
+  auto node0 = std::make_shared<vfs::Vfs>();
+  ASSERT_FALSE(node0->mkdir("/net"));
+  ASSERT_FALSE(node0->mount("/net", fs0));
+  auto id1 = resolve(*cluster.fs(1), "/switches/sw1/id");
+  ASSERT_TRUE(id1.ok());
+  auto queue = std::make_shared<vfs::WatchQueue>();
+  ASSERT_TRUE(cluster.fs(1)->watch(*id1, vfs::event::modified, queue).ok());
+
+  auto before = cluster.transport().messages_sent();
+  ASSERT_FALSE(node0->write_file("/net/switches/sw1/id", "0xabc"));
+  EXPECT_EQ(cluster.transport().messages_sent() - before, 2u);
+  settle();
+  EXPECT_EQ(content(1, "/switches/sw1/id"), "0xabc");
+  EXPECT_EQ(content(2, "/switches/sw1/id"), "0xabc");
+  EXPECT_EQ(queue->drain().size(), 1u);
 }
 
 TEST_F(ClusterTest, StrictModeChargesRoundTripOnSecondary) {
@@ -389,8 +447,8 @@ TEST(DistributedController, FlowWrittenOnNodeAVisibleOnNodeB) {
 // --- anti-entropy: convergence despite genuinely lost messages -----------------
 
 // The partition model retransmits (TCP-style); the fault filter actually
-// loses messages.  Op-log replication cannot recover from that — the
-// anti-entropy pass must.
+// loses messages.  A lost live record is never resent — the anti-entropy
+// pass must recover it.
 TEST(AntiEntropy, LossyLinkDivergenceHealed) {
   net::Scheduler scheduler;
   Cluster cluster(scheduler, ClusterOptions{.nodes = 2,
@@ -470,6 +528,260 @@ TEST(AntiEntropy, TombstonePreventsResurrection) {
   // Deleted everywhere, resurrected nowhere.
   EXPECT_FALSE(fs0->lookup(*switches0, "doomed").ok());
   EXPECT_FALSE(fs1->lookup(*switches1, "doomed").ok());
+}
+
+// A lost chmod/setxattr is repaired like lost content: entries carry the
+// whole node, metadata included.
+TEST(AntiEntropy, LostMetadataIsRepaired) {
+  net::Scheduler scheduler;
+  Cluster cluster(scheduler, ClusterOptions{.nodes = 2,
+                                            .link_latency = {},
+                                            .default_mode = Mode::eventual});
+  auto fs0 = cluster.fs(0);
+  auto fs1 = cluster.fs(1);
+  auto switches0 = resolve(*fs0, "/switches");
+  ASSERT_TRUE(fs0->mkdir(*switches0, "sw1", 0755, {}).ok());
+  scheduler.run_until_idle();
+  ASSERT_TRUE(resolve(*fs1, "/switches/sw1").ok());
+
+  drop_everything(cluster.transport());
+  auto sw0 = resolve(*fs0, "/switches/sw1");
+  ASSERT_FALSE(fs0->chmod(*sw0, 0700, {}));
+  ASSERT_FALSE(fs0->setxattr(*sw0, kConsistencyXattr, bytes_of("eventual"),
+                             {}));
+  scheduler.run_until_idle();
+  attach_faults(cluster.transport(), nullptr);
+  anti_entropy(cluster, scheduler, 2);
+
+  auto sw1 = resolve(*fs1, "/switches/sw1");
+  ASSERT_TRUE(sw1.ok());
+  EXPECT_EQ(fs1->getattr(*sw1)->mode, 0700u);
+  auto mode = fs1->getxattr(*sw1, kConsistencyXattr);
+  ASSERT_TRUE(mode.ok());
+  EXPECT_EQ(*mode, bytes_of("eventual"));
+}
+
+// A node anti-entropy recreates keeps its mode and xattrs instead of
+// coming back with default permissions and none.
+TEST(AntiEntropy, RecreatedNodeKeepsModeAndXattrs) {
+  net::Scheduler scheduler;
+  Cluster cluster(scheduler, ClusterOptions{.nodes = 2,
+                                            .link_latency = {},
+                                            .default_mode = Mode::eventual});
+  auto fs0 = cluster.fs(0);
+  auto fs1 = cluster.fs(1);
+
+  drop_everything(cluster.transport());
+  ASSERT_TRUE(fs0->mkdir(*resolve(*fs0, "/switches"), "sw1", 0700, {}).ok());
+  auto sw0 = resolve(*fs0, "/switches/sw1");
+  ASSERT_FALSE(fs0->setxattr(*sw0, kConsistencyXattr, bytes_of("eventual"),
+                             {}));
+  auto id0 = resolve(*fs0, "/switches/sw1/id");
+  ASSERT_TRUE(fs0->write(*id0, 0, "0x9", {}).ok());
+  ASSERT_FALSE(fs0->chmod(*id0, 0600, {}));
+  ASSERT_FALSE(fs0->setxattr(*id0, "user.note", bytes_of("edge"), {}));
+  scheduler.run_until_idle();
+  attach_faults(cluster.transport(), nullptr);
+  ASSERT_FALSE(resolve(*fs1, "/switches/sw1").ok());  // diverged
+  anti_entropy(cluster, scheduler, 2);
+
+  auto sw1 = resolve(*fs1, "/switches/sw1");
+  ASSERT_TRUE(sw1.ok());
+  EXPECT_EQ(fs1->getattr(*sw1)->mode, 0700u);
+  auto mode = fs1->getxattr(*sw1, kConsistencyXattr);
+  ASSERT_TRUE(mode.ok());
+  EXPECT_EQ(*mode, bytes_of("eventual"));
+  auto id1 = resolve(*fs1, "/switches/sw1/id");
+  ASSERT_TRUE(id1.ok());
+  EXPECT_EQ(*fs1->read(*id1, 0, 100, {}), "0x9");
+  EXPECT_EQ(fs1->getattr(*id1)->mode, 0600u);
+  auto note = fs1->getxattr(*id1, "user.note");
+  ASSERT_TRUE(note.ok());
+  EXPECT_EQ(*note, bytes_of("edge"));
+}
+
+// node 0's rmdir is lost; node 1 then writes inside the directory, later
+// than the deletion.  The write out-ranks the tombstone, so it must bring
+// the directory back on node 0 rather than be dropped for want of a
+// parent — otherwise the replicas disagree forever.
+TEST(AntiEntropy, WriteNewerThanAncestorTombstoneConverges) {
+  net::Scheduler scheduler;
+  Cluster cluster(scheduler, ClusterOptions{.nodes = 2,
+                                            .link_latency = {},
+                                            .default_mode = Mode::eventual});
+  auto fs0 = cluster.fs(0);
+  auto fs1 = cluster.fs(1);
+  auto switches0 = resolve(*fs0, "/switches");
+  ASSERT_TRUE(fs0->mkdir(*switches0, "sw1", 0755, {}).ok());
+  scheduler.run_until_idle();
+
+  drop_everything(cluster.transport());
+  ASSERT_FALSE(fs0->rmdir(*switches0, "sw1", {}));
+  scheduler.run_until_idle();
+  attach_faults(cluster.transport(), nullptr);
+  // node 1 hears of node 0's later work, so its clock passes the lost
+  // tombstone's.
+  ASSERT_TRUE(fs0->mkdir(*switches0, "sw2", 0755, {}).ok());
+  scheduler.run_until_idle();
+  auto id1 = resolve(*fs1, "/switches/sw1/id");
+  ASSERT_TRUE(id1.ok());
+  ASSERT_TRUE(fs1->write(*id1, 0, "0x7", {}).ok());
+  scheduler.run_until_idle();
+  anti_entropy(cluster, scheduler, 3);
+
+  for (auto* fs : {fs0.get(), fs1.get()}) {
+    auto id = resolve(*fs, "/switches/sw1/id");
+    ASSERT_TRUE(id.ok()) << (fs == fs0.get() ? "node 0" : "node 1");
+    EXPECT_EQ(*fs->read(*id, 0, 100, {}), "0x7");
+  }
+}
+
+// --- record codec: corrupt and truncated records --------------------------------
+
+/// A replica's whole tree — type, mode, owner, content or target and
+/// xattrs of every node — rendered so two dumps are equal exactly when
+/// the trees are byte-identical.
+void dump(ReplicatedYancFs& fs, vfs::NodeId node, const std::string& path,
+          std::string& out) {
+  auto st = fs.getattr(node);
+  ASSERT_TRUE(st.ok()) << path;
+  auto field = [&out](const std::string& s) {
+    out += std::to_string(s.size()) + ":" + s + " ";
+  };
+  field(path);
+  out += std::to_string(static_cast<int>(st->type)) + " " +
+         std::to_string(st->mode) + " " + std::to_string(st->uid) + " " +
+         std::to_string(st->gid) + " ";
+  if (st->is_symlink()) field(*fs.readlink(node));
+  if (st->is_file()) field(*fs.read(node, 0, st->size, {}));
+  auto names = fs.listxattr(node);
+  ASSERT_TRUE(names.ok()) << path;
+  for (const auto& name : *names) {
+    auto value = *fs.getxattr(node, name);
+    field(name);
+    field(std::string(value.begin(), value.end()));
+  }
+  out += "\n";
+  if (!st->is_dir()) return;
+  auto children = fs.readdir(node);
+  ASSERT_TRUE(children.ok()) << path;
+  for (const auto& child : *children)
+    dump(fs, child.node, path + "/" + child.name, out);
+}
+
+std::string dump(ReplicatedYancFs& fs) {
+  std::string out;
+  dump(fs, fs.root(), "", out);
+  return out;
+}
+
+// Transport faults corrupt and truncate replica messages.  A record the
+// receiver rejects must leave its tree byte-identical — decoding finishes
+// before anything merges, so no record ever merges half way.  Every strict
+// prefix of a record must be rejected; a corrupted record may decode
+// (a flipped content byte is still a well-formed record), but if the
+// receiver's counters say it was not taken, the tree must not have moved.
+TEST(RecordCodec, RejectedRecordLeavesTreeUntouched) {
+  // A 2-node pair in which node 1 missed two records of node 0: a live
+  // one (a rename: a tombstone plus a subtree of entries with xattrs) and
+  // node 0's anti-entropy record of its whole tree.
+  struct Rig {
+    net::Scheduler scheduler;
+    Cluster cluster{scheduler, ClusterOptions{.nodes = 2,
+                                              .link_latency = {},
+                                              .default_mode = Mode::eventual}};
+    std::vector<std::uint8_t> last, live, repair;
+    std::uint64_t taken() {
+      auto fs1 = cluster.fs(1);
+      return fs1->remote_ops_applied() + fs1->conflicts_ignored() +
+             fs1->repairs_applied();
+    }
+  };
+  auto make_rig = [] {
+    auto rig = std::make_unique<Rig>();
+    auto fs0 = rig->cluster.fs(0);
+    auto switches = resolve(*fs0, "/switches");
+    EXPECT_TRUE(fs0->mkdir(*switches, "sw1", 0755, {}).ok());
+    rig->scheduler.run_until_idle();
+    rig->cluster.transport().set_fault_filter(
+        [r = rig.get()](auto, auto, std::vector<std::uint8_t>& message) {
+          r->last = message;
+          Transport::LinkFate fate;
+          fate.drop = true;
+          return fate;
+        });
+    auto sw1 = resolve(*fs0, "/switches/sw1");
+    EXPECT_FALSE(fs0->setxattr(*sw1, "user.note", bytes_of("x"), {}));
+    EXPECT_TRUE(fs0->write(*resolve(*fs0, "/switches/sw1/id"), 0, "0x5", {})
+                    .ok());
+    EXPECT_FALSE(fs0->chmod(*sw1, 0700, {}));
+    EXPECT_FALSE(fs0->rename(*switches, "sw1", *switches, "edge-1", {}));
+    rig->live = rig->last;
+    EXPECT_TRUE(fs0->mkdir(*switches, "sw2", 0755, {}).ok());
+    EXPECT_FALSE(fs0->rmdir(*switches, "sw2", {}));
+    fs0->send_anti_entropy();
+    rig->repair = rig->last;
+    rig->cluster.transport().set_fault_filter(nullptr);
+    rig->scheduler.run_until_idle();
+    return rig;
+  };
+
+  auto rig = make_rig();
+  // Feeds `variant` to node 1 in place of `record`, through the filter;
+  // returns whether node 1 took it.
+  auto feed = [&rig](const std::vector<std::uint8_t>& record,
+                     const std::vector<std::uint8_t>& variant) {
+    auto& transport = rig->cluster.transport();
+    transport.set_fault_filter(
+        [&variant](auto, auto, std::vector<std::uint8_t>& message) {
+          message = variant;
+          return Transport::LinkFate{};
+        });
+    std::uint64_t before = rig->taken();
+    EXPECT_TRUE(transport.send(0, 1, record));
+    rig->scheduler.run_until_idle();
+    transport.set_fault_filter(nullptr);
+    return rig->taken() != before;
+  };
+
+  util::Rng rng(16);
+  for (bool live : {true, false}) {
+    SCOPED_TRACE(live ? "live record" : "anti-entropy record");
+    const auto record = live ? rig->live : rig->repair;
+    ASSERT_FALSE(record.empty());
+    // Intact, the record merges and changes node 1.
+    std::string pristine = dump(*rig->cluster.fs(1));
+    ASSERT_TRUE(feed(record, record));
+    EXPECT_NE(dump(*rig->cluster.fs(1)), pristine);
+    EXPECT_TRUE(resolve(*rig->cluster.fs(1), "/switches/edge-1").ok());
+    rig = make_rig();
+
+    std::size_t rejected = 0;
+    for (std::size_t i = 0; i < record.size() + 300; ++i) {
+      auto variant = record;
+      std::string what;
+      if (i < record.size()) {
+        variant.resize(i);
+        what = "prefix of " + std::to_string(i) + " bytes";
+      } else {
+        auto at = rng.next_u64() % record.size();
+        variant[at] ^= static_cast<std::uint8_t>(1 + rng.next_u64() % 255);
+        what = "flip at byte " + std::to_string(at);
+      }
+      std::string before = dump(*rig->cluster.fs(1));
+      bool taken = feed(record, variant);
+      if (i < record.size()) {
+        EXPECT_FALSE(taken) << what;
+      }
+      if (taken) {
+        rig = make_rig();
+        continue;
+      }
+      ++rejected;
+      ASSERT_EQ(dump(*rig->cluster.fs(1)), before) << what;
+    }
+    EXPECT_GT(rejected, record.size());  // some flips are rejected too
+  }
 }
 
 }  // namespace
