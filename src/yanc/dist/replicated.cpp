@@ -1,6 +1,7 @@
 #include "yanc/dist/replicated.hpp"
 
 #include <algorithm>
+#include <span>
 #include <tuple>
 
 #include "yanc/util/bytes.hpp"
@@ -70,13 +71,20 @@ struct ReplicatedYancFs::Record {
       put_string(path);
       put_version(v);
     }
+    w.u32(checksum(w.data()));
     return w.take();
   }
 
-  /// All or nothing: a record that is short, long, or names an unknown
-  /// type or a malformed path is rejected whole, before anything merges.
+  /// All or nothing: a record that is short, long, fails its checksum, or
+  /// names an unknown type or a malformed path is rejected whole, before
+  /// anything merges.
   static Result<Record> decode(const std::vector<std::uint8_t>& bytes) {
-    BufReader r(bytes);
+    if (bytes.size() < 4) return Errc::protocol_error;
+    std::span<const std::uint8_t> body(bytes.data(), bytes.size() - 4);
+    if (BufReader(std::span(bytes).subspan(body.size())).u32() !=
+        checksum(body))
+      return Errc::protocol_error;
+    BufReader r(body);
     auto get_string = [&r]() {
       auto raw = r.bytes(r.u32());
       return std::string(raw.begin(), raw.end());
@@ -120,6 +128,16 @@ struct ReplicatedYancFs::Record {
   }
 
  private:
+  /// FNV-1a, whose every step is a bijection of the running hash, so any
+  /// single flipped byte changes it: a corrupted record is rejected and
+  /// anti-entropy repairs it like a lost one, rather than merging at the
+  /// origin's version with content the origin never wrote.
+  static std::uint32_t checksum(std::span<const std::uint8_t> bytes) {
+    std::uint32_t hash = 2166136261u;
+    for (auto b : bytes) hash = (hash ^ b) * 16777619u;
+    return hash;
+  }
+
   /// An absolute, normalised path below the root, as path_of renders it.
   static bool valid_path(std::string_view path) {
     if (path.size() < 2 || path.front() != '/') return false;

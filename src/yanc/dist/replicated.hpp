@@ -13,12 +13,13 @@
 // record: preorder entries (parents before children), each a whole node
 // — type, path, content or symlink target, mode, owner, xattrs — stamped
 // with the Lamport (ts, origin) version of its last writer, plus the
-// tombstones of deleted paths.  A local mutation sends the record of the
-// node it changed; anti-entropy sends the record of the whole tree.  Both
-// go through one merge: a newer entry replaces the local node wholesale
-// (last-writer-wins on the whole node, metadata included), an older one
-// is ignored, a missing node is recreated together with any missing
-// ancestors, and a tombstone removes whatever it out-ranks.
+// tombstones of deleted paths, closed by a checksum.  A local mutation
+// sends the record of the node it changed; anti-entropy sends the record
+// of the whole tree.  Both go through one merge: a newer entry replaces
+// the local node wholesale (last-writer-wins on the whole node, metadata
+// included), an older one is ignored, a missing node is recreated
+// together with any missing ancestors, and a tombstone removes whatever
+// it out-ranks.
 //   mkdir/create/symlink/write/truncate/replace/chmod/chown/[set|remove]xattr
 //                  -> one entry: the node as the change left it
 //   unlink/rmdir   -> one tombstone
